@@ -8,7 +8,6 @@ cross-checked against exact linear algebra over Q and GF(p).
 from .canonical import (
     canonical_datum,
     canonical_point,
-    jump_sets,
     stabilizer_dim_oracle,
     stabilizer_system_prop2,
     verify_sigma_invariant,
@@ -74,7 +73,6 @@ __all__ = [
     "grassmannian_word",
     "hook_union",
     "is_minimal",
-    "jump_sets",
     "marked_pair",
     "minimal_orbits",
     "raise_candidate",

@@ -18,14 +18,9 @@ from a canonical point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
-from .linalg import (
-    QQ,
-    SpanReducer,
-    int_matrix_rank,
-    nullspace,
-    top_index,
-)
+from .linalg import QQ, SpanReducer, int_matrix_rank, nullspace
 from .subspace import Subspace
 from .young import OrbitDatum, validate
 
@@ -33,60 +28,6 @@ from .young import OrbitDatum, validate
 def _basis_vector(field, n, r):
     v = [field.zero] * n
     v[r - 1] = field.one
-    return v
-
-
-def _tracked_reduce(tracker, field, v, coeffs, insert):
-    """Eliminate v against tracker rows, mirroring each step on coeffs.
-
-    Tracker rows are (residual, coefficient vector) pairs in bottom-pivot
-    echelon form.  Returns the pivot of the residual (after inserting it
-    when ``insert``), or None if v was eliminated completely.
-    """
-    p = field.p
-    for idx in range(len(v) - 1, -1, -1):
-        c = v[idx]
-        if c and idx in tracker:
-            m, cf = tracker[idx]
-            if p is None:
-                for j in range(idx + 1):
-                    if m[j]:
-                        v[j] -= c * m[j]
-                for j in range(len(coeffs)):
-                    if cf[j]:
-                        coeffs[j] -= c * cf[j]
-            else:
-                for j in range(idx + 1):
-                    if m[j]:
-                        v[j] = (v[j] - c * m[j]) % p
-                for j in range(len(coeffs)):
-                    if cf[j]:
-                        coeffs[j] = (coeffs[j] - c * cf[j]) % p
-    piv = top_index(v)
-    if piv is None:
-        return None
-    if insert:
-        if v[piv] == 1:
-            tracker[piv] = (v, coeffs[:])
-            return piv
-        inv = field.inv(v[piv])
-        if p is None:
-            tracker[piv] = ([x * inv for x in v], [x * inv for x in coeffs])
-        else:
-            tracker[piv] = (
-                [x * inv % p for x in v], [x * inv % p for x in coeffs]
-            )
-    return piv
-
-
-def _combine(field, n, rows, coeffs):
-    v = [field.zero] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for i in range(n):
-                v[i] += c * row[i]
-    if field.p is not None:
-        v = [x % field.p for x in v]
     return v
 
 
@@ -136,36 +77,30 @@ def _canonical_datum(field, n, ucols, wcols, prebuilt=None) -> OrbitDatum:
         rc = C.reduce(er)
         if not any(rc):
             # two-term case: the flag vector needs a partner u in U+Z with
-            # e_r + u in W+Z; the partner of lowest flag position wins.
-            arows = list(A.rows.values())
-            meet = SpanReducer(field, n)      # (U+Z) cap (W+Z), contains Z
-            tracker = {}  # pivot -> (residual mod W+Z, coeffs over arows)
-            for j, arow in enumerate(arows):
-                coeffs = [field.zero] * len(arows)
-                coeffs[j] = field.one
-                res = _tracked_reduce(
-                    tracker, field, B.reduce(arow), coeffs, insert=True
-                )
-                if res is None:
-                    # a combination landed in W+Z, hence in the meet
-                    meet.add(_combine(field, n, arows, coeffs))
-            # partner search: a combination of A-rows congruent to -e_r
-            # modulo W+Z, so that e_r plus the partner lies in W+Z
-            coeffs = [field.zero] * len(arows)
-            res = _tracked_reduce(tracker, field, rb[:], coeffs, insert=False)
-            assert res is None, "flag vector not in U+W despite case test"
-            u0 = _combine(field, n, arows, coeffs)
-            rho = meet.reduce(u0)
-            piv = top_index(rho)
-            assert piv is not None, "partner search degenerated (case test bug)"
+            # e_r + u in W+Z; the partner of lowest top index wins.  U+Z is
+            # in bottom-pivot echelon form, so the members of U+Z with top
+            # index at most t are spanned by its rows of pivot at most t:
+            # add those rows to W+Z in pivot order, and the first that
+            # brings e_r into the span is the partner's top index.
+            D = B.copy()
+            for piv in sorted(A.rows):
+                D.add(A.rows[piv])
+                if D.contains(er):
+                    break
+            else:
+                raise RuntimeError("flag vector not in U+W despite case test")
             j = piv + 1
-            assert j in remaining, "partner position was already consumed"
+            if j not in remaining:
+                raise RuntimeError(
+                    f"partner position {j} of flag position {r} was "
+                    "already consumed"
+                )
             remaining.remove(j)
             pairs.append((r, j))
             alpha.append(j)
-            # consuming e_r and rho grows U+Z and W+Z by e_r only: rho
-            # already lies in U+Z, and rho = -e_r modulo W+Z; the total
-            # span U+W+Z is unchanged
+            # consuming e_r and its partner grows U+Z and W+Z by e_r only:
+            # the partner already lies in U+Z, and it is -e_r modulo W+Z;
+            # the total span U+W+Z is unchanged
             A.add_reduced(ra)
             B.add_reduced(rb)
         else:
@@ -174,14 +109,12 @@ def _canonical_datum(field, n, ucols, wcols, prebuilt=None) -> OrbitDatum:
             B.add_reduced(rb)
             C.add_reduced(rc)
     datum = OrbitDatum.make(n, k, l, alpha, beta, pairs)
-    assert not validate(datum), validate(datum)
+    bad = validate(datum)
+    if bad:
+        raise RuntimeError(
+            "canonical form produced an invalid datum: " + "; ".join(bad)
+        )
     return datum
-
-
-def jump_sets(U: Subspace, W: Subspace):
-    """Flag positions where U and W jump; equals (alpha, beta|gammas)."""
-    U._check_compatible(W)
-    return frozenset(U.jumps()), frozenset(W.jumps())
 
 
 def canonical_point(datum: OrbitDatum, field=QQ):
@@ -331,17 +264,9 @@ def _annihilator_rows(cols, n):
     rows = [[QQ.elem(col[i]) for i in range(n)] for col in cols]
     out = []
     for v in nullspace(rows, QQ, n):
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // _gcd(denom, x.denominator)
+        denom = lcm(*(x.denominator for x in v))
         out.append([int(x * denom) for x in v])
     return out
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def stabilizer_dim_oracle(datum: OrbitDatum, field=QQ) -> int:

@@ -23,7 +23,7 @@ from .serialize import (
     parse_matrix_text,
 )
 from .verify import run_suites
-from .young import dimension, rank, stratum
+from .young import check_bounds, dimension, rank, stratum
 
 
 def _add_nkl(sub):
@@ -88,16 +88,8 @@ def _read_datum(path: str):
     return datum_from_json(json.loads(_read_text(path)))
 
 
-def _check_bounds(args):
-    if not (0 < args.k < args.n and 0 < args.l < args.n):
-        raise ValueError(
-            f"need 0 < k < n and 0 < l < n, "
-            f"got n={args.n} k={args.k} l={args.l}"
-        )
-
-
 def _cmd_enumerate(args) -> int:
-    _check_bounds(args)
+    check_bounds(args.n, args.k, args.l)
     from .poset import enumerate_orbits
 
     for datum in enumerate_orbits(args.n, args.k, args.l):
@@ -125,7 +117,7 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    _check_bounds(args)
+    check_bounds(args.n, args.k, args.l)
     graph = build_graph(args.n, args.k, args.l)
     if args.format == "dot":
         sys.stdout.write(graph_to_dot(graph))
@@ -135,7 +127,7 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    _check_bounds(args)
+    check_bounds(args.n, args.k, args.l)
     lo = max(0, args.k + args.l - args.n)
     hi = min(args.k, args.l)
     strata = (
@@ -159,7 +151,7 @@ def _cmd_desing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _check_bounds(args)
+    check_bounds(args.n, args.k, args.l)
     results = run_suites(
         args.n, args.k, args.l,
         prime=args.prime,

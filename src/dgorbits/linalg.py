@@ -54,8 +54,13 @@ class Field:
         if self.p is None:
             return Fraction(m)
         m = Fraction(m)
-        den = pow(m.denominator % self.p, self.p - 2, self.p)
-        return (m.numerator * den) % self.p
+        den = m.denominator % self.p
+        if not den:
+            raise FieldError(
+                f"{m} has no value in GF({self.p}): "
+                f"its denominator is divisible by {self.p}"
+            )
+        return m.numerator * self.inv(den) % self.p
 
     def inv(self, a):
         if not a:
@@ -215,10 +220,6 @@ def rref(rows, field, ncols=None):
     return [mat[i] for i in range(r)], pivots
 
 
-def matrix_rank(rows, field):
-    return len(rref(rows, field)[0])
-
-
 def nullspace(rows, field, ncols=None):
     """Basis of {x : M x = 0} with M given by ``rows``."""
     if ncols is None:
@@ -235,37 +236,6 @@ def nullspace(rows, field, ncols=None):
             v[pc] = -row[free] if field.p is None else (-row[free]) % field.p
         basis.append(v)
     return basis
-
-
-def solve_and_kernel(cols, target, field):
-    """Solve sum_j x_j cols[j] = target; also return the kernel basis.
-
-    Returns (x or None, kernel_basis); elimination is done once on the
-    augmented matrix.
-    """
-    m = len(cols)
-    n = len(target)
-    rows = [[cols[j][i] for j in range(m)] + [target[i]] for i in range(n)]
-    red, pivots = rref(rows, field, m + 1)
-    if m in pivots:
-        sol = None
-    else:
-        sol = [field.zero] * m
-        for row, pc in zip(red, pivots):
-            sol[pc] = row[m]
-    kernel = []
-    coeff_red = [row[:m] for row in red]
-    coeff_piv = [pc for pc in pivots if pc < m]
-    pivset = set(coeff_piv)
-    for free in range(m):
-        if free in pivset:
-            continue
-        v = [field.zero] * m
-        v[free] = field.one
-        for row, pc in zip(coeff_red, coeff_piv):
-            v[pc] = -row[free] if field.p is None else (-row[free]) % field.p
-        kernel.append(v)
-    return sol, kernel
 
 
 def int_matrix_rank(rows):

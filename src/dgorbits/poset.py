@@ -19,6 +19,7 @@ from .young import (
     GrassPermutationWord,
     OrbitDatum,
     _dimension_sets,
+    check_bounds,
     grassmannian_word,
     stratum,
     validate,
@@ -28,11 +29,6 @@ RANK_RAISING = "RANK_RAISING"
 PLAIN = "PLAIN"
 
 
-def _check_bounds(n, k, l):
-    if not (0 < k < n and 0 < l < n):
-        raise ValueError(f"need 0 < k < n and 0 < l < n, got n={n} k={k} l={l}")
-
-
 def enumerate_orbits(n, k, l) -> list[OrbitDatum]:
     """All valid orbit data for (n, k, l), in lexicographic order.
 
@@ -40,7 +36,7 @@ def enumerate_orbits(n, k, l) -> list[OrbitDatum]:
     smaller partner delta outside alpha to each gamma, and finally beta
     among the positions not used by any pair.
     """
-    _check_bounds(n, k, l)
+    check_bounds(n, k, l)
     out = []
     indices = range(1, n + 1)
     for alpha in combinations(indices, k):
@@ -192,7 +188,7 @@ def build_graph(n, k, l) -> WeakOrderGraph:
     """All raisings between the orbit data for (n, k, l).
 
     The graph is acyclic by construction (every edge raises dimension);
-    the single-sink-per-stratum invariant is asserted.
+    the single-sink-per-stratum invariant is checked.
     """
     vertices = tuple(enumerate_orbits(n, k, l))
     index = {d: i for i, d in enumerate(vertices)}
@@ -210,15 +206,18 @@ def build_graph(n, k, l) -> WeakOrderGraph:
                 continue
             cand, kind = res
             tid = index[cand]
-            assert dims[tid] == dims[vid] + 1
+            if dims[tid] != dims[vid] + 1:
+                raise RuntimeError(
+                    f"edge {vid} -> {tid} does not raise the dimension by one"
+                )
             edges.append(RaisingEdge(vid, tid, i, kind))
     graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), strata)
     for e in graph.edges:
-        assert stratum(vertices[e.source]) == stratum(vertices[e.target]), (
-            "raising crossed a GL-stratum"
-        )
+        if stratum(vertices[e.source]) != stratum(vertices[e.target]):
+            raise RuntimeError(f"raising {e} crossed a GL-stratum")
     for d, sink_ids in graph.sinks().items():
-        assert len(sink_ids) == 1, f"stratum {d} has {len(sink_ids)} sinks"
+        if len(sink_ids) != 1:
+            raise RuntimeError(f"stratum {d} has {len(sink_ids)} sinks")
     return graph
 
 
@@ -228,7 +227,7 @@ def build_graph(n, k, l) -> WeakOrderGraph:
 
 def minimal_orbits(n, k, l, d) -> list[OrbitDatum]:
     """The weak-order minimal data of the stratum dim(U cap W) = d."""
-    _check_bounds(n, k, l)
+    check_bounds(n, k, l)
     if not max(0, k + l - n) <= d <= min(k, l):
         raise ValueError(f"stratum d={d} out of bounds for (n,k,l)=({n},{k},{l})")
     shared = tuple(range(1, d + 1))
@@ -239,7 +238,8 @@ def minimal_orbits(n, k, l, d) -> list[OrbitDatum]:
         beta = shared + tuple(x for x in window if x not in set(extra))
         out.append(OrbitDatum.make(n, k, l, alpha, beta, ()))
     out.sort(key=lambda dd: (dd.alpha, dd.beta))
-    assert len(out) == comb(k + l - 2 * d, k - d)
+    if len(out) != comb(k + l - 2 * d, k - d):
+        raise RuntimeError(f"stratum {d} has {len(out)} minimal orbits")
     return out
 
 
@@ -295,9 +295,10 @@ def desingularization_table(graph: WeakOrderGraph) -> dict:
             if e.source in best:
                 word, mid = best[e.source]
                 options.append((word + (e.simple_index,), mid))
-        assert options, (
-            f"vertex {vid} has no raising path from a minimal orbit"
-        )
+        if not options:
+            raise RuntimeError(
+                f"vertex {vid} has no raising path from a minimal orbit"
+            )
         best[vid] = min(options)
     return best
 

@@ -13,7 +13,7 @@ format feeds explicit subspace pairs to the command line:
     <l columns of W, column-major>
 
 Entries are integers or rationals like 3/4; over GF(p) they are reduced
-mod p.
+mod p, and a denominator divisible by p is refused.
 """
 
 from __future__ import annotations
@@ -21,9 +21,22 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .linalg import Field, FieldError, QQ
-from .poset import DesingularizationData, RaisingEdge, WeakOrderGraph
+from .poset import (
+    DesingularizationData,
+    RaisingEdge,
+    WeakOrderGraph,
+    raise_candidate,
+)
 from .subspace import Subspace
-from .young import OrbitDatum, dimension, rank, stratum, validate
+from .young import (
+    OrbitDatum,
+    check_bounds,
+    dimension,
+    dimension_fast,
+    rank,
+    stratum,
+    validate,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -48,25 +61,39 @@ def datum_to_json(datum: OrbitDatum, derived: bool = False) -> dict:
     return obj
 
 
+def _json_int(value, what):
+    """``value`` if it is a JSON integer; refuses bools, floats, strings."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def datum_from_json(obj: dict) -> OrbitDatum:
     try:
+        n, k, l = (_json_int(obj[key], key) for key in ("n", "k", "l"))
         datum = OrbitDatum.make(
-            int(obj["n"]),
-            int(obj["k"]),
-            int(obj["l"]),
-            [int(a) for a in obj["alpha"]],
-            [int(b) for b in obj["beta"]],
-            [(int(d), int(g)) for d, g in obj.get("sigma_pairs", [])],
+            n, k, l,
+            [_json_int(a, "alpha entry") for a in obj["alpha"]],
+            [_json_int(b, "beta entry") for b in obj["beta"]],
+            [
+                (_json_int(d, "delta"), _json_int(g, "gamma"))
+                for d, g in obj.get("sigma_pairs", [])
+            ],
         )
+        derived = obj.get("derived")
+        if derived is not None:
+            derived = {
+                key: _json_int(derived[key], key)
+                for key in ("dim", "rank", "stratum")
+            }
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed orbit datum JSON: {exc}") from exc
     bad = validate(datum)
     if bad:
         raise ValueError("invalid orbit datum: " + "; ".join(bad))
-    derived = obj.get("derived")
     if derived is not None:
         fresh = datum_to_json(datum, derived=True)["derived"]
-        if {key: int(derived[key]) for key in fresh} != fresh:
+        if derived != fresh:
             raise ValueError(
                 f"derived block {derived} does not match recomputation {fresh}"
             )
@@ -105,25 +132,53 @@ def graph_to_json(graph: WeakOrderGraph) -> dict:
 
 
 def graph_from_json(obj: dict) -> WeakOrderGraph:
-    nodes = sorted(obj["nodes"], key=lambda nd: nd["id"])
-    if [nd["id"] for nd in nodes] != list(range(len(nodes))):
-        raise ValueError("graph node ids must be 0..len-1")
-    vertices = tuple(datum_from_json(nd["datum"]) for nd in nodes)
-    dims = tuple(int(nd["dim"]) for nd in nodes)
-    edges = tuple(
-        RaisingEdge(
-            int(e["source"]), int(e["target"]),
-            int(e["simpleIndex"]), str(e["kind"]),
+    """Inverse of :func:`graph_to_json`; every dim and edge is re-derived."""
+    try:
+        n, k, l = (_json_int(obj[key], key) for key in ("n", "k", "l"))
+        nodes = sorted(
+            obj["nodes"], key=lambda nd: _json_int(nd["id"], "node id")
         )
-        for e in obj["edges"]
-    )
+        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
+            raise ValueError("graph node ids must be 0..len-1")
+        vertices = tuple(datum_from_json(nd["datum"]) for nd in nodes)
+        dims = tuple(_json_int(nd["dim"], "node dim") for nd in nodes)
+        edges = tuple(
+            RaisingEdge(
+                _json_int(e["source"], "edge source"),
+                _json_int(e["target"], "edge target"),
+                _json_int(e["simpleIndex"], "simpleIndex"),
+                e["kind"],
+            )
+            for e in obj["edges"]
+        )
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed graph JSON: {exc}") from exc
+    for vid, (datum, dim) in enumerate(zip(vertices, dims)):
+        if (datum.n, datum.k, datum.l) != (n, k, l):
+            raise ValueError(f"node {vid} is not an ({n},{k},{l}) datum")
+        if dim != dimension_fast(datum):
+            raise ValueError(
+                f"node {vid} has dim {dim}, "
+                f"recomputed {dimension_fast(datum)}"
+            )
+    ids = range(len(vertices))
+    for e in edges:
+        if e.source not in ids or e.target not in ids:
+            raise ValueError(
+                f"edge {e.source} -> {e.target} leaves the node ids "
+                f"0..{len(vertices) - 1}"
+            )
+        if raise_candidate(vertices[e.source], e.simple_index) != (
+            vertices[e.target], e.kind
+        ):
+            raise ValueError(
+                f"edge {e.source} -> {e.target} is not the raising "
+                f"{e.simple_index} of kind {e.kind!r}"
+            )
     strata = {}
     for vid, datum in enumerate(vertices):
         strata.setdefault(stratum(datum), []).append(vid)
-    return WeakOrderGraph(
-        int(obj["n"]), int(obj["k"]), int(obj["l"]),
-        vertices, dims, edges, strata,
-    )
+    return WeakOrderGraph(n, k, l, vertices, dims, edges, strata)
 
 
 def _dot_label(datum: OrbitDatum) -> str:
@@ -171,10 +226,9 @@ def desing_to_json(dd: DesingularizationData) -> dict:
 
 def _parse_scalar(token: str, field: Field):
     try:
-        value = Fraction(token)
+        return field.elem(Fraction(token))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad matrix entry {token!r}: {exc}") from exc
-    return field.elem(value)
 
 
 def parse_matrix_text(text: str):
@@ -197,8 +251,7 @@ def parse_matrix_text(text: str):
         n, k, l = (int(x) for x in header[1].split())
     except ValueError as exc:
         raise ValueError(f"bad size line {header[1]!r}: {exc}") from exc
-    if not (0 < k < n and 0 < l < n):
-        raise ValueError(f"need 0 < k < n and 0 < l < n, got n={n} k={k} l={l}")
+    check_bounds(n, k, l)
     blocks = []
     current = []
     for ln in lines[2:]:

@@ -90,44 +90,18 @@ class Subspace:
         )
 
     def intersection(self, other) -> "Subspace":
+        """Zassenhaus: in the rref of the rows (u | u) for u in self and
+        (w | 0) for w in other, the rows (0 | x) span the intersection."""
         self._check_compatible(other)
-        # kernel vectors of [A | -B] give the common combinations
-        a, b = self.columns, other.columns
-        rows = [
-            [col[i] for col in a] + [-col[i] for col in b]
-            for i in range(self.n)
-        ]
-        from .linalg import nullspace
-
-        vecs = []
-        for kv in nullspace(rows, self.field, len(a) + len(b)):
-            v = [self.field.zero] * self.n
-            for j, col in enumerate(a):
-                c = kv[j]
-                if c:
-                    for i in range(self.n):
-                        v[i] += c * col[i]
-            if self.field.p is not None:
-                v = [x % self.field.p for x in v]
-            vecs.append(v)
-        return Subspace.spanned_by(self.field, self.n, vecs)
-
-    def quotient_map(self, total_n=None):
-        """Coordinates on V / self, as a function on ambient vectors.
-
-        The complement coordinates are the non-pivot positions of the
-        reduced basis; the returned function maps a vector of K^n to its
-        class in K^(n - dim).
-        """
-        red = SpanReducer(self.field, self.n, self.columns)
-        pivots = set(red.pivots())
-        free = [i for i in range(self.n) if i not in pivots]
-
-        def project(vector):
-            v = red.reduce([self.field.elem(x) for x in vector])
-            return tuple(v[i] for i in free)
-
-        return project
+        n = self.n
+        zeros = [self.field.zero] * n
+        rows = [list(u) * 2 for u in self.columns]
+        rows += [list(w) + zeros for w in other.columns]
+        red, pivots = rref(rows, self.field, 2 * n)
+        return Subspace(
+            self.field, n,
+            [row[n:] for row, pc in zip(red, pivots) if pc >= n],
+        )
 
     def jumps(self) -> tuple[int, ...]:
         """Positions i where dim(self cap V_i) > dim(self cap V_{i-1}).

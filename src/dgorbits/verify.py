@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
@@ -182,14 +183,16 @@ def _apply(rows, col, p):
 
 
 def check_field_sweep(n, k, l, q):
-    """Every F_q-point lands on an enumerated datum and all data occur."""
+    """Every F_q-point lands on an enumerated datum, and each datum gets
+    (q-1)^rank q^(dim-rank) points: the size of its orbit over F_q."""
     field = Field(q)
-    expected = set(enumerate_orbits(n, k, l))
+    data = enumerate_orbits(n, k, l)
+    expected = set(data)
     useq = list(all_subspaces(field, n, k))
     wseq = useq if l == k else list(all_subspaces(field, n, l))
     ured = [SpanReducer(field, n, u) for u in useq]
     wred = ured if l == k else [SpanReducer(field, n, w) for w in wseq]
-    seen = set()
+    counts = Counter()
     checked = 0
     for ucols, ra in zip(useq, ured):
         for wcols, rb in zip(wseq, wred):
@@ -201,11 +204,16 @@ def check_field_sweep(n, k, l, q):
                     f"sweep produced a non-enumerated datum {datum} "
                     f"for U={ucols} W={wcols}"
                 )
-            seen.add(datum)
+            counts[datum] += 1
             checked += 1
-    missing = expected - seen
-    if missing:
-        return checked, f"data never observed over GF({q}): {sorted(missing)}"
+    for datum in data:
+        r, dim = rank(datum), dimension_fast(datum)
+        want = (q - 1) ** r * q ** (dim - r)
+        if counts[datum] != want:
+            return checked, (
+                f"{datum} has {counts[datum]} points over GF({q}), "
+                f"expected (q-1)^{r} q^{dim - r} = {want}"
+            )
     return checked, None
 
 

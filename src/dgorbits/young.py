@@ -76,6 +76,14 @@ class OrbitDatum:
         return j
 
 
+def check_bounds(n, k, l):
+    """Refuse (n, k, l) unless 0 < k < n and 0 < l < n."""
+    if not (0 < k < n and 0 < l < n):
+        raise ValueError(
+            f"need 0 < k < n and 0 < l < n, got n={n} k={k} l={l}"
+        )
+
+
 def validate(datum: OrbitDatum) -> list[str]:
     """Return descriptions of every violated invariant (empty list = valid)."""
     bad = []
@@ -117,7 +125,8 @@ def stratum(datum: OrbitDatum) -> int:
     """dim(U cap W) for the GL-orbit containing this B-orbit."""
     d = len(set(datum.alpha) & set(datum.beta))
     n, k, l = datum.n, datum.k, datum.l
-    assert max(0, k + l - n) <= d <= min(k, l), (datum, d)
+    if not max(0, k + l - n) <= d <= min(k, l):
+        raise RuntimeError(f"stratum {d} out of range for {datum}")
     return d
 
 

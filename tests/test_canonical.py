@@ -1,22 +1,21 @@
 """Canonical forms, representative points, and stabilizer systems."""
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from dgorbits.canonical import (
     canonical_datum,
     canonical_point,
-    jump_sets,
     stabilizer_dim_oracle,
     stabilizer_system_prop2,
     verify_sigma_invariant,
 )
-from dgorbits.linalg import Field, QQ, SpanReducer
+from dgorbits.linalg import Field, QQ
 from dgorbits.poset import enumerate_orbits
 from dgorbits.subspace import Subspace
 from dgorbits.young import OrbitDatum, dimension, rank
 
-from conftest import nkl_range
+from conftest import draw_basis, nkl_range
 
 
 DATUM9 = OrbitDatum.make(9, 4, 3, (3, 5, 6, 9), (2, 5), [(7, 9)])
@@ -95,32 +94,21 @@ def test_canonical_datum_off_canonical_input():
 
 def test_jump_sets_examples():
     U, W = open_pair_n2()
-    assert jump_sets(U, W) == (frozenset({2}), frozenset({2}))
+    assert (U.jumps(), W.jumps()) == ((2,), (2,))
     V2 = Subspace.flag_member(QQ, 5, 2)
     V3 = Subspace.flag_member(QQ, 5, 3)
-    assert jump_sets(V2, V3) == (frozenset({1, 2}), frozenset({1, 2, 3}))
+    assert (V2.jumps(), V3.jumps()) == ((1, 2), (1, 2, 3))
 
 
-@settings(suppress_health_check=[HealthCheck.large_base_example])
 @given(st.data())
 def test_jump_sets_match_canonical(data):
     n = 6
-
-    def draw_space(dim):
-        while True:
-            cols = data.draw(st.lists(
-                st.tuples(*[st.integers(0, 6)] * n),
-                min_size=dim, max_size=dim,
-            ))
-            if SpanReducer(GF7, n, cols).dim == dim:
-                return Subspace(GF7, n, cols)
-
-    U = draw_space(data.draw(st.integers(1, n - 1)))
-    W = draw_space(data.draw(st.integers(1, n - 1)))
+    k, l = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
+    U = Subspace(GF7, n, draw_basis(data, 7, n, k))
+    W = Subspace(GF7, n, draw_basis(data, 7, n, l))
     datum = canonical_datum(U, W)
-    aset, wset = jump_sets(U, W)
-    assert aset == frozenset(datum.alpha)
-    assert wset == frozenset(datum.w_jumps)
+    assert U.jumps() == datum.alpha
+    assert W.jumps() == datum.w_jumps
     assert verify_sigma_invariant(U, W, datum)
 
 

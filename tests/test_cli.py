@@ -62,6 +62,20 @@ def test_datum_json_rejects_invalid():
         datum_from_json({"n": 2})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", 2.9),
+    ("k", True),
+    ("alpha", ["2"]),
+    ("sigma_pairs", [[1.0, 2]]),
+    ("derived", {"dim": 2.0, "rank": 1, "stratum": 0}),
+], ids=["float", "bool", "string", "float_pair", "float_derived"])
+def test_datum_json_rejects_non_integers(key, value):
+    obj = datum_to_json(OPEN2)
+    obj[key] = value
+    with pytest.raises(ValueError, match="must be an integer"):
+        datum_from_json(obj)
+
+
 def test_matrix_text_round_trip():
     for field in (QQ, Field(5)):
         U, W = canonical_point(DATUM9, field)
@@ -89,6 +103,19 @@ def test_graph_json_round_trip():
     assert back.dims == graph.dims
     assert back.edges == graph.edges
     assert back.strata == graph.strata
+
+
+@pytest.mark.parametrize("part, key, value, message", [
+    ("nodes", "dim", 99, "has dim 99, recomputed"),
+    ("edges", "target", 999, "leaves the node ids"),
+    ("edges", "kind", "BOGUS", "is not the raising"),
+    ("edges", "simpleIndex", 9, "out of range"),
+], ids=["dim", "target", "kind", "simple_index"])
+def test_graph_json_rejects_forgeries(part, key, value, message):
+    obj = graph_to_json(build_graph(2, 1, 1))
+    obj[part][0][key] = value
+    with pytest.raises(ValueError, match=message):
+        graph_from_json(obj)
 
 
 def test_graph_dot_output():
@@ -163,6 +190,14 @@ def test_cli_canonical_dependent_columns(tmp_path, capsys):
     assert "column 2" in err
 
 
+def test_cli_canonical_denominator_divisible_by_p(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text("field 7\n2 1 1\n1/7 1\n\n0 1\n")
+    code, out, err = run_cli(capsys, "canonical", str(path))
+    assert (code, out) == (2, "")
+    assert "1/7" in err
+
+
 def test_cli_dim_stdin(monkeypatch, capsys):
     monkeypatch.setattr(
         "sys.stdin", io.StringIO(json.dumps(datum_to_json(DATUM9)))
@@ -170,6 +205,16 @@ def test_cli_dim_stdin(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "dim")
     assert code == 0
     assert json.loads(out) == {"dim": 20, "rank": 1, "stratum": 1}
+
+
+def test_cli_dim_rejects_non_integers(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        '{"n": 2.9, "k": true, "l": 1, "alpha": ["2"], "beta": [1], '
+        '"sigma_pairs": []}'
+    ))
+    code, out, err = run_cli(capsys, "dim")
+    assert (code, out) == (2, "")
+    assert "n must be an integer, got 2.9" in err
 
 
 def test_cli_graph_dot(capsys):
