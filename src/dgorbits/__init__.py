@@ -24,6 +24,7 @@ from .poset import (
     desingularization_table,
     enumerate_orbits,
     is_minimal,
+    lower_candidate,
     minimal_orbits,
     raise_candidate,
     replay_word,
@@ -73,6 +74,7 @@ __all__ = [
     "grassmannian_word",
     "hook_union",
     "is_minimal",
+    "lower_candidate",
     "marked_pair",
     "minimal_orbits",
     "raise_candidate",

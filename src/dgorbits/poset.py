@@ -7,6 +7,9 @@ adjacent indentation/spike pattern of the two paths into a new dotted
 box (rank goes up by one) or just swaps the roles of positions i and
 i+1 everywhere (rank unchanged); in both cases the candidate counts as
 a raising exactly when it is a valid datum of dimension one higher.
+A desingularization word needs only the data below its target, which a
+downward search with the inverse raising, :func:`lower_candidate`, finds
+without building the whole graph.
 """
 
 from __future__ import annotations
@@ -72,14 +75,43 @@ def _delta_assignments(gammas, candidates):
                 yield (d,) + rest
 
 
-def raise_candidate(datum: OrbitDatum, i: int):
+def _dimension(datum: OrbitDatum, dims: dict) -> int:
+    """``dims[datum]``, computed by :func:`_dimension_sets` on first use."""
+    dim = dims.get(datum)
+    if dim is None:
+        dim = dims[datum] = _dimension_sets(
+            datum.n, set(datum.alpha), set(datum.beta) | datum.gammas,
+            datum.pairs,
+        )
+    return dim
+
+
+def _check_index(datum: OrbitDatum, i: int):
+    if not 1 <= i <= datum.n - 1:
+        raise ValueError(f"simple index {i} out of range for n={datum.n}")
+
+
+def _transpose(datum: OrbitDatum, i: int) -> OrbitDatum:
+    """tau_i(datum): positions i and i+1 swapped in alpha, beta and pairs."""
+    tau = {i: i + 1, i + 1: i}
+    return OrbitDatum.make(
+        datum.n, datum.k, datum.l,
+        [tau.get(x, x) for x in datum.alpha],
+        [tau.get(x, x) for x in datum.beta],
+        [tuple(sorted((tau.get(d, d), tau.get(g, g)))) for d, g in datum.pairs],
+    )
+
+
+def raise_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
     """Result of letting the i-th minimal parabolic act, if it raises.
 
     Returns (raised_datum, kind) or None.  kind is RANK_RAISING when a
     new (i, i+1) pair appears, PLAIN when the data is just transposed.
+    ``dims`` maps data to their dimensions; it is read first and filled
+    with what is computed, so that a caller raising many data computes
+    each dimension once.
     """
-    if not 1 <= i <= datum.n - 1:
-        raise ValueError(f"simple index {i} out of range for n={datum.n}")
+    _check_index(datum, i)
     aset = set(datum.alpha)
     bset = set(datum.beta)
     gset = datum.gammas
@@ -91,33 +123,57 @@ def raise_candidate(datum: OrbitDatum, i: int):
         and i + 1 not in gset
     )
     if pattern:
-        new_alpha = (aset - {i}) | {i + 1}
-        new_beta = bset - {i, i + 1}
-        new_pairs = datum.pairs + ((i, i + 1),)
+        cand = OrbitDatum.make(
+            datum.n, datum.k, datum.l,
+            (aset - {i}) | {i + 1}, bset - {i, i + 1},
+            datum.pairs + ((i, i + 1),),
+        )
         kind = RANK_RAISING
     else:
-        tau = {i: i + 1, i + 1: i}
-        new_alpha = {tau.get(x, x) for x in aset}
-        new_beta = {tau.get(x, x) for x in bset}
-        new_pairs = tuple(
-            tuple(sorted((tau.get(d, d), tau.get(g, g))))
-            for d, g in datum.pairs
-        )
+        cand = _transpose(datum, i)
         kind = PLAIN
-    cand = OrbitDatum.make(
-        datum.n, datum.k, datum.l, new_alpha, new_beta, new_pairs
-    )
     if validate(cand):
         return None
-    here = _dimension_sets(
-        datum.n, aset, bset | gset, datum.pairs
-    )
-    there = _dimension_sets(
-        cand.n, set(cand.alpha), set(cand.beta) | cand.gammas, cand.pairs
-    )
-    if there != here + 1:
+    if dims is None:
+        dims = {}
+    if _dimension(cand, dims) != _dimension(datum, dims) + 1:
         return None
     return cand, kind
+
+
+def lower_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
+    """Inverse of :func:`raise_candidate`: every (source, kind) with
+    ``raise_candidate(source, i) == (datum, kind)``, source valid.
+
+    The sources to try are tau_i(datum) (PLAIN) and, when (i, i+1) is a
+    pair of ``datum``, the datum without that pair with either i+1 moved
+    from alpha to beta and i put into alpha, or i put into beta
+    (RANK_RAISING).  Each is kept only when raising it gives ``datum``
+    back, so raising keeps its single definition.  ``dims`` is as for
+    :func:`raise_candidate`.
+    """
+    _check_index(datum, i)
+    n, k, l = datum.n, datum.k, datum.l
+    tries = [(_transpose(datum, i), PLAIN)]
+    if (i, i + 1) in datum.pairs:
+        aset, bset = set(datum.alpha), set(datum.beta)
+        pairs = [p for p in datum.pairs if p != (i, i + 1)]
+        tries += [
+            (OrbitDatum.make(n, k, l, (aset - {i + 1}) | {i},
+                             bset | {i + 1}, pairs), RANK_RAISING),
+            (OrbitDatum.make(n, k, l, aset, bset | {i}, pairs),
+             RANK_RAISING),
+        ]
+    if dims is None:
+        dims = {}
+    below = _dimension(datum, dims) - 1
+    return [
+        (source, kind)
+        for source, kind in tries
+        if not validate(source)
+        and _dimension(source, dims) == below
+        and raise_candidate(source, i, dims) == (datum, kind)
+    ]
 
 
 @dataclass(frozen=True)
@@ -130,7 +186,8 @@ class RaisingEdge:
 
 @dataclass(frozen=True, eq=False)
 class WeakOrderGraph:
-    """Weak-order raising graph on all orbit data for one (n, k, l)."""
+    """Weak-order raising graph on orbit data for one (n, k, l): all of
+    them, or the lower interval of one datum."""
 
     n: int
     k: int
@@ -192,25 +249,18 @@ def build_graph(n, k, l) -> WeakOrderGraph:
     """
     vertices = tuple(enumerate_orbits(n, k, l))
     index = {d: i for i, d in enumerate(vertices)}
-    dims = tuple(
-        _dimension_sets(n, set(d.alpha), set(d.beta) | d.gammas, d.pairs)
-        for d in vertices
-    )
+    dim_of = {}
+    dims = tuple(_dimension(d, dim_of) for d in vertices)
     edges = []
     strata = {}
     for vid, datum in enumerate(vertices):
         strata.setdefault(stratum(datum), []).append(vid)
         for i in range(1, n):
-            res = raise_candidate(datum, i)
+            res = raise_candidate(datum, i, dim_of)
             if res is None:
                 continue
             cand, kind = res
-            tid = index[cand]
-            if dims[tid] != dims[vid] + 1:
-                raise RuntimeError(
-                    f"edge {vid} -> {tid} does not raise the dimension by one"
-                )
-            edges.append(RaisingEdge(vid, tid, i, kind))
+            edges.append(RaisingEdge(vid, index[cand], i, kind))
     graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), strata)
     for e in graph.edges:
         if stratum(vertices[e.source]) != stratum(vertices[e.target]):
@@ -282,7 +332,9 @@ def desingularization_table(graph: WeakOrderGraph) -> dict:
     dimension: a minimal-shape vertex gets the empty word; any other
     vertex takes the smallest (word + label, source-minimal id) over its
     incoming edges.  Every path from a fixed vertex to another has the
-    same length, so these are automatically shortest words.
+    same length, so these are automatically shortest words.  A vertex's
+    entry depends only on the vertices below it, so on a lower interval
+    whose ids keep the whole graph's order it is the whole graph's entry.
     """
     best = {}
     order = sorted(range(len(graph.vertices)), key=lambda v: graph.dims[v])
@@ -303,17 +355,53 @@ def desingularization_table(graph: WeakOrderGraph) -> dict:
     return best
 
 
-def desingularization(
-    datum: OrbitDatum, graph: WeakOrderGraph | None = None
-) -> DesingularizationData:
-    """Combinatorial desingularization data for the orbit closure of ``datum``."""
+def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
+    """The subgraph of ``build_graph`` on the data at or below ``datum``.
+
+    Found by searching down from ``datum`` with :func:`lower_candidate`,
+    so it holds every incoming edge of each of its vertices.  Vertices
+    are sorted like ``enumerate_orbits``, by (alpha, beta, pairs), so
+    that vertex ids compare as they do in the whole graph.
+    """
+    dims = {}
+    incoming = {datum: []}
+    todo = [datum]
+    while todo:
+        target = todo.pop()
+        for i in range(1, datum.n):
+            for source, kind in lower_candidate(target, i, dims):
+                incoming[target].append((source, i, kind))
+                if source not in incoming:
+                    incoming[source] = []
+                    todo.append(source)
+    vertices = tuple(
+        sorted(incoming, key=lambda d: (d.alpha, d.beta, d.pairs))
+    )
+    index = {d: v for v, d in enumerate(vertices)}
+    edges = tuple(
+        RaisingEdge(index[source], index[target], i, kind)
+        for target in vertices
+        for source, i, kind in incoming[target]
+    )
+    return WeakOrderGraph(
+        datum.n, datum.k, datum.l, vertices,
+        tuple(dims[d] for d in vertices), edges,
+        {stratum(datum): list(range(len(vertices)))},
+    )
+
+
+def desingularization(datum: OrbitDatum) -> DesingularizationData:
+    """Combinatorial desingularization data for the orbit closure of ``datum``.
+
+    Runs :func:`desingularization_table` on :func:`_lower_interval`: every
+    raising path from a minimal orbit to ``datum`` lies in that interval,
+    so the answer is the whole graph's.
+    """
     bad = validate(datum)
     if bad:
         raise ValueError("invalid orbit datum: " + "; ".join(bad))
-    if graph is None:
-        graph = build_graph(datum.n, datum.k, datum.l)
-    vid = graph.index_of(datum)
-    word, mid = desingularization_table(graph)[vid]
+    graph = _lower_interval(datum)
+    word, mid = desingularization_table(graph)[graph.index_of(datum)]
     minimal = graph.vertices[mid]
     return DesingularizationData(
         target=datum,

@@ -141,7 +141,11 @@ def graph_from_json(obj: dict) -> WeakOrderGraph:
         if [nd["id"] for nd in nodes] != list(range(len(nodes))):
             raise ValueError("graph node ids must be 0..len-1")
         vertices = tuple(datum_from_json(nd["datum"]) for nd in nodes)
-        dims = tuple(_json_int(nd["dim"], "node dim") for nd in nodes)
+        derived = [
+            {key: _json_int(nd[key], f"node {key}")
+             for key in ("dim", "rank", "stratum")}
+            for nd in nodes
+        ]
         edges = tuple(
             RaisingEdge(
                 _json_int(e["source"], "edge source"),
@@ -153,14 +157,21 @@ def graph_from_json(obj: dict) -> WeakOrderGraph:
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed graph JSON: {exc}") from exc
-    for vid, (datum, dim) in enumerate(zip(vertices, dims)):
+    for vid, (datum, given) in enumerate(zip(vertices, derived)):
         if (datum.n, datum.k, datum.l) != (n, k, l):
             raise ValueError(f"node {vid} is not an ({n},{k},{l}) datum")
-        if dim != dimension_fast(datum):
-            raise ValueError(
-                f"node {vid} has dim {dim}, "
-                f"recomputed {dimension_fast(datum)}"
-            )
+        fresh = {
+            "dim": dimension_fast(datum),
+            "rank": rank(datum),
+            "stratum": stratum(datum),
+        }
+        for key, value in given.items():
+            if value != fresh[key]:
+                raise ValueError(
+                    f"node {vid} has {key} {value}, recomputed {fresh[key]}"
+                )
+    dims = tuple(given["dim"] for given in derived)
+    dim_of = dict(zip(vertices, dims))
     ids = range(len(vertices))
     for e in edges:
         if e.source not in ids or e.target not in ids:
@@ -168,7 +179,7 @@ def graph_from_json(obj: dict) -> WeakOrderGraph:
                 f"edge {e.source} -> {e.target} leaves the node ids "
                 f"0..{len(vertices) - 1}"
             )
-        if raise_candidate(vertices[e.source], e.simple_index) != (
+        if raise_candidate(vertices[e.source], e.simple_index, dim_of) != (
             vertices[e.target], e.kind
         ):
             raise ValueError(
@@ -176,8 +187,8 @@ def graph_from_json(obj: dict) -> WeakOrderGraph:
                 f"{e.simple_index} of kind {e.kind!r}"
             )
     strata = {}
-    for vid, datum in enumerate(vertices):
-        strata.setdefault(stratum(datum), []).append(vid)
+    for vid, given in enumerate(derived):
+        strata.setdefault(given["stratum"], []).append(vid)
     return WeakOrderGraph(n, k, l, vertices, dims, edges, strata)
 
 

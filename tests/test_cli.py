@@ -107,10 +107,12 @@ def test_graph_json_round_trip():
 
 @pytest.mark.parametrize("part, key, value, message", [
     ("nodes", "dim", 99, "has dim 99, recomputed"),
+    ("nodes", "rank", 99, "has rank 99, recomputed 0"),
+    ("nodes", "stratum", "x", "node stratum must be an integer, got 'x'"),
     ("edges", "target", 999, "leaves the node ids"),
     ("edges", "kind", "BOGUS", "is not the raising"),
     ("edges", "simpleIndex", 9, "out of range"),
-], ids=["dim", "target", "kind", "simple_index"])
+], ids=["dim", "rank", "stratum", "target", "kind", "simple_index"])
 def test_graph_json_rejects_forgeries(part, key, value, message):
     obj = graph_to_json(build_graph(2, 1, 1))
     obj[part][0][key] = value
@@ -275,6 +277,13 @@ def test_cli_verify_passes(capsys):
     names = {s["suite"] for s in suites}
     assert "dimension_agreement" in names
     assert "field_sweep_q2" in names
+
+
+def test_cli_verify_refuses_absurd_sweep(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n", "6", "--k", "3",
+                             "--l", "3")
+    assert (code, out) == (2, "")
+    assert "1,149,800,425 subspace pairs" in err
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,10 @@ from dgorbits.poset import (
     RANK_RAISING,
     build_graph,
     desingularization,
+    desingularization_table,
     enumerate_orbits,
     is_minimal,
+    lower_candidate,
     minimal_orbits,
     raise_candidate,
     replay_word,
@@ -88,10 +90,11 @@ def test_raise_rejects_lowering():
 
 
 def test_raise_index_bounds():
-    with pytest.raises(ValueError):
-        raise_candidate(DATUM7, 0)
-    with pytest.raises(ValueError):
-        raise_candidate(DATUM7, 7)
+    for move in (raise_candidate, lower_candidate):
+        with pytest.raises(ValueError):
+            move(DATUM7, 0)
+        with pytest.raises(ValueError):
+            move(DATUM7, 7)
 
 
 @given(st.data())
@@ -113,6 +116,21 @@ def test_raise_properties(data):
     else:
         assert kind == PLAIN
         assert rank(raised) == rank(datum)
+
+
+def test_lowerings_are_incoming_edges(graph_of):
+    for n, k, l in nkl_range(6):
+        graph = graph_of(n, k, l)
+        for vid, datum in enumerate(graph.vertices):
+            lowered = {
+                (graph.index_of(source), i, kind)
+                for i in range(1, n)
+                for source, kind in lower_candidate(datum, i)
+            }
+            assert lowered == {
+                (e.source, e.simple_index, e.kind)
+                for e in graph.incoming(vid)
+            }, datum
 
 
 # ---------------------------------------------------------------------------
@@ -195,9 +213,9 @@ def test_is_minimal_rejects_others():
 # desingularization
 
 
-def test_desing_open_n2(graph_of):
+def test_desing_open_n2():
     datum = OrbitDatum.make(2, 1, 1, (2,), (), [(1, 2)])
-    dd = desingularization(datum, graph_of(2, 1, 1))
+    dd = desingularization(datum)
     assert dd.word == (1,)
     assert dd.minimal == OrbitDatum.make(2, 1, 1, (1,), (2,))
     assert dd.bs_first.word == ()
@@ -205,9 +223,9 @@ def test_desing_open_n2(graph_of):
     assert replay_word(dd.minimal, dd.word) == datum
 
 
-def test_desing_minimal_is_trivial(graph_of):
+def test_desing_minimal_is_trivial():
     datum = OrbitDatum.make(2, 1, 1, (2,), (1,))
-    dd = desingularization(datum, graph_of(2, 1, 1))
+    dd = desingularization(datum)
     assert dd.word == ()
     assert dd.minimal == datum
 
@@ -222,9 +240,17 @@ def test_desing_seven_datum():
     assert is_minimal(dd.minimal)
 
 
-def test_desing_replay_exhaustive_small(graph_of):
-    from dgorbits.poset import desingularization_table
+def test_desing_matches_table(graph_of):
+    for n, k, l in nkl_range(5):
+        graph = graph_of(n, k, l)
+        table = desingularization_table(graph)
+        for vid, datum in enumerate(graph.vertices):
+            word, mid = table[vid]
+            dd = desingularization(datum)
+            assert (dd.word, dd.minimal) == (word, graph.vertices[mid])
 
+
+def test_desing_replay_exhaustive_small(graph_of):
     graph = graph_of(4, 2, 2)
     table = desingularization_table(graph)
     for vid, datum in enumerate(graph.vertices):
