@@ -277,7 +277,7 @@ def stabilizer_dim_oracle(datum: OrbitDatum, field=QQ) -> int:
     n(n+1)/2 minus this value.  Exact characteristic-zero arithmetic
     only.
     """
-    if field.p is not None:
+    if field != QQ:
         raise ValueError("the stabilizer oracle runs over Q only")
     U, W = canonical_point(datum, field)
     n = datum.n

@@ -1,7 +1,10 @@
 """Exact linear algebra over Q and prime fields.
 
 Vectors are tuples/lists of field elements: ``Fraction`` over Q, plain
-ints in [0, p) over GF(p).  No floating point anywhere.  The central
+ints in [0, p) over GF(p).  No floating point anywhere.  :class:`Field`
+owns the arithmetic and fixes it once per field; the elimination kernels
+(``SpanReducer``, ``rref``, ``nullspace``) are written once, in terms of
+its row operations, and never ask which field they run over.  The central
 helper is :class:`SpanReducer`, a row-space accumulator kept in echelon
 form with pivots at the *highest* nonzero coordinate; with the standard
 flag V_i = <e_1, ..., e_i> this makes flag-relative questions (jump
@@ -18,19 +21,47 @@ class FieldError(ValueError):
 
 
 class Field:
-    """Exact field: Q (``p is None``) or GF(p) for a prime p < 2**31."""
+    """Exact field: Q (``p is None``) or GF(p) for a prime p < 2**31.
 
-    __slots__ = ("p", "_inv_table")
+    The field owns the arithmetic.  Construction fixes, once per field,
+    ``zero``, ``one`` and the two row operations the kernels below are
+    written with: ``scale(row, c)``, a new row c * row, and
+    ``subtract(v, c, row, stop)``, which sets v[j] -= c * row[j] in place
+    for j < stop.  Over GF(p) both reduce mod p.
+    """
+
+    __slots__ = ("p", "zero", "one", "scale", "subtract", "_inv_table")
 
     def __init__(self, p=None):
         if p is not None:
             if not (2 <= p < 2**31) or not _is_prime(p):
                 raise FieldError(f"not a valid prime: {p}")
         self.p = p
-        if p is not None and p <= 4096:
-            self._inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+        self._inv_table = None
+        if p is None:
+            self.zero, self.one = Fraction(0), Fraction(1)
+
+            def scale(row, c):
+                return [x * c for x in row]
+
+            def subtract(v, c, row, stop):
+                for j in range(stop):
+                    if row[j]:
+                        v[j] -= c * row[j]
         else:
-            self._inv_table = None
+            self.zero, self.one = 0, 1
+            if p <= 4096:
+                self._inv_table = [0] + [pow(a, p - 2, p) for a in range(1, p)]
+
+            def scale(row, c):
+                return [x * c % p for x in row]
+
+            def subtract(v, c, row, stop):
+                for j in range(stop):
+                    if row[j]:
+                        v[j] = (v[j] - c * row[j]) % p
+        self.scale = scale
+        self.subtract = subtract
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -40,14 +71,6 @@ class Field:
 
     def __repr__(self):
         return "QQ" if self.p is None else f"GF({self.p})"
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else 1
 
     def elem(self, m):
         """Field element from an integer or Fraction."""
@@ -131,23 +154,11 @@ class SpanReducer:
         """Residual of v modulo the span; a fresh list."""
         v = list(v)
         rows = self.rows
-        p = self.field.p
-        if p is None:
-            for idx in range(self.n - 1, -1, -1):
-                c = v[idx]
-                if c and idx in rows:
-                    row = rows[idx]
-                    for j in range(idx + 1):
-                        if row[j]:
-                            v[j] -= c * row[j]
-        else:
-            for idx in range(self.n - 1, -1, -1):
-                c = v[idx]
-                if c and idx in rows:
-                    row = rows[idx]
-                    for j in range(idx + 1):
-                        if row[j]:
-                            v[j] = (v[j] - c * row[j]) % p
+        subtract = self.field.subtract
+        for idx in range(self.n - 1, -1, -1):
+            c = v[idx]
+            if c and idx in rows:
+                subtract(v, c, rows[idx], idx + 1)
         return v
 
     def contains(self, v):
@@ -165,12 +176,8 @@ class SpanReducer:
         if r[piv] == 1:
             self.rows[piv] = list(r)
             return piv
-        c = self.field.inv(r[piv])
-        if self.field.p is None:
-            self.rows[piv] = [x * c for x in r]
-        else:
-            p = self.field.p
-            self.rows[piv] = [x * c % p for x in r]
+        field = self.field
+        self.rows[piv] = field.scale(r, field.inv(r[piv]))
         return piv
 
     def pivots(self):
@@ -193,7 +200,6 @@ def rref(rows, field, ncols=None):
     if ncols is None:
         ncols = len(rows[0]) if rows else 0
     mat = [list(r) for r in rows]
-    p = field.p
     pivots = []
     r = 0
     for c in range(ncols):
@@ -201,18 +207,10 @@ def rref(rows, field, ncols=None):
         if piv is None:
             continue
         mat[r], mat[piv] = mat[piv], mat[r]
-        inv = field.inv(mat[r][c])
-        if p is None:
-            mat[r] = [x * inv for x in mat[r]]
-        else:
-            mat[r] = [x * inv % p for x in mat[r]]
+        mat[r] = field.scale(mat[r], field.inv(mat[r][c]))
         for i in range(len(mat)):
             if i != r and mat[i][c]:
-                f = mat[i][c]
-                if p is None:
-                    mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-                else:
-                    mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
+                field.subtract(mat[i], mat[i][c], mat[r], len(mat[r]))
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -232,8 +230,9 @@ def nullspace(rows, field, ncols=None):
             continue
         v = [field.zero] * ncols
         v[free] = field.one
-        for row, pc in zip(red, pivots):
-            v[pc] = -row[free] if field.p is None else (-row[free]) % field.p
+        # the pivot variable of each row is minus the row's free entry
+        for pc, x in zip(pivots, field.scale([row[free] for row in red], -1)):
+            v[pc] = x
         basis.append(v)
     return basis
 

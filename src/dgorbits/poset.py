@@ -15,6 +15,7 @@ without building the whole graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 from math import comb
 
@@ -80,8 +81,7 @@ def _dimension(datum: OrbitDatum, dims: dict) -> int:
     dim = dims.get(datum)
     if dim is None:
         dim = dims[datum] = _dimension_sets(
-            datum.n, set(datum.alpha), set(datum.beta) | datum.gammas,
-            datum.pairs,
+            set(datum.alpha), set(datum.beta) | datum.gammas, datum.pairs
         )
     return dim
 
@@ -99,6 +99,17 @@ def _transpose(datum: OrbitDatum, i: int) -> OrbitDatum:
         [tau.get(x, x) for x in datum.alpha],
         [tau.get(x, x) for x in datum.beta],
         [tuple(sorted((tau.get(d, d), tau.get(g, g)))) for d, g in datum.pairs],
+    )
+
+
+def _fixed_by(datum: OrbitDatum, i: int) -> bool:
+    """Whether tau_i(datum) is datum: i and i+1 lie in the same ones of
+    alpha and beta, and in no pair."""
+    j = i + 1
+    return (
+        (i in datum.alpha) == (j in datum.alpha)
+        and (i in datum.beta) == (j in datum.beta)
+        and not any(i in pair or j in pair for pair in datum.pairs)
     )
 
 
@@ -129,6 +140,8 @@ def raise_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
             datum.pairs + ((i, i + 1),),
         )
         kind = RANK_RAISING
+    elif _fixed_by(datum, i):
+        return None     # the datum itself, of the same dimension
     else:
         cand = _transpose(datum, i)
         kind = PLAIN
@@ -145,16 +158,16 @@ def lower_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
     """Inverse of :func:`raise_candidate`: every (source, kind) with
     ``raise_candidate(source, i) == (datum, kind)``, source valid.
 
-    The sources to try are tau_i(datum) (PLAIN) and, when (i, i+1) is a
-    pair of ``datum``, the datum without that pair with either i+1 moved
-    from alpha to beta and i put into alpha, or i put into beta
-    (RANK_RAISING).  Each is kept only when raising it gives ``datum``
-    back, so raising keeps its single definition.  ``dims`` is as for
-    :func:`raise_candidate`.
+    The sources to try are tau_i(datum) (PLAIN, unless it is datum) and,
+    when (i, i+1) is a pair of ``datum``, the datum without that pair with
+    either i+1 moved from alpha to beta and i put into alpha, or i put
+    into beta (RANK_RAISING).  Each is kept only when raising it gives
+    ``datum`` back, so raising keeps its single definition.  ``dims`` is
+    as for :func:`raise_candidate`.
     """
     _check_index(datum, i)
     n, k, l = datum.n, datum.k, datum.l
-    tries = [(_transpose(datum, i), PLAIN)]
+    tries = [] if _fixed_by(datum, i) else [(_transpose(datum, i), PLAIN)]
     if (i, i + 1) in datum.pairs:
         aset, bset = set(datum.alpha), set(datum.beta)
         pairs = [p for p in datum.pairs if p != (i, i + 1)]
@@ -198,35 +211,27 @@ class WeakOrderGraph:
     strata: dict
 
     def index_of(self, datum: OrbitDatum) -> int:
-        return self._index()[datum]
+        return self._index[datum]
 
+    @cached_property
     def _index(self):
-        if not hasattr(self, "_index_cache"):
-            object.__setattr__(
-                self, "_index_cache",
-                {d: i for i, d in enumerate(self.vertices)},
-            )
-        return self._index_cache
-
-    def outgoing(self, vid):
-        return self._adjacency()[0][vid]
+        return {d: i for i, d in enumerate(self.vertices)}
 
     def incoming(self, vid):
-        return self._adjacency()[1][vid]
+        return self._adjacency[1][vid]
 
+    @cached_property
     def _adjacency(self):
-        if not hasattr(self, "_adj_cache"):
-            out = [[] for _ in self.vertices]
-            inc = [[] for _ in self.vertices]
-            for e in self.edges:
-                out[e.source].append(e)
-                inc[e.target].append(e)
-            object.__setattr__(self, "_adj_cache", (out, inc))
-        return self._adj_cache
+        out = [[] for _ in self.vertices]
+        inc = [[] for _ in self.vertices]
+        for e in self.edges:
+            out[e.source].append(e)
+            inc[e.target].append(e)
+        return out, inc
 
     def sinks(self):
         """Per-stratum list of vertices with no outgoing edge."""
-        out, _ = self._adjacency()
+        out, _ = self._adjacency
         return {
             d: [v for v in vs if not out[v]]
             for d, vs in sorted(self.strata.items())
@@ -234,7 +239,7 @@ class WeakOrderGraph:
 
     def sources(self):
         """Per-stratum list of vertices with no incoming edge."""
-        _, inc = self._adjacency()
+        _, inc = self._adjacency
         return {
             d: [v for v in vs if not inc[v]]
             for d, vs in sorted(self.strata.items())

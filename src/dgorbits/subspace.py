@@ -79,10 +79,6 @@ class Subspace:
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
 
-    def contains(self, vector) -> bool:
-        v = [self.field.elem(x) for x in vector]
-        return SpanReducer(self.field, self.n, self.columns).contains(v)
-
     def sum(self, other) -> "Subspace":
         self._check_compatible(other)
         return Subspace.spanned_by(

@@ -165,20 +165,10 @@ class YoungDiagram:
         rows = tuple(vs[i] - 1 - i for i in range(height))[::-1]
         return YoungDiagram(rows, height, n - height)
 
-    @staticmethod
-    def from_path(path) -> "YoungDiagram":
-        vs = tuple(j + 1 for j, s in enumerate(path) if s == "v")
-        return YoungDiagram.from_vertical_steps(len(path), vs)
-
     def vertical_steps(self) -> tuple[int, ...]:
         """Ascending step indices where the bounding path goes up."""
         widths = self.rows[::-1]
         return tuple(widths[i] + i + 1 for i in range(self.height))
-
-    def path(self) -> tuple[str, ...]:
-        vs = set(self.vertical_steps())
-        n = self.height + self.width
-        return tuple("v" if j in vs else "h" for j in range(1, n + 1))
 
     @property
     def size(self) -> int:
@@ -301,7 +291,7 @@ def _diagram_size(vertical) -> int:
     return sum(a - 1 - i for i, a in enumerate(sorted(vertical)))
 
 
-def _dimension_sets(n, aset, wset, pairs) -> int:
+def _dimension_sets(aset, wset, pairs) -> int:
     """Same value as :func:`dimension`, computed without building diagrams.
 
     ``aset``/``wset`` are the vertical-step sets of the two paths; used in
@@ -329,7 +319,7 @@ def _dimension_sets(n, aset, wset, pairs) -> int:
 def dimension_fast(datum: OrbitDatum) -> int:
     aset = set(datum.alpha)
     return _dimension_sets(
-        datum.n, aset, set(datum.beta) | set(datum.gammas), datum.pairs
+        aset, set(datum.beta) | set(datum.gammas), datum.pairs
     )
 
 

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
+    _fixed_by,
+    _transpose,
     build_graph,
     desingularization,
     desingularization_table,
@@ -116,6 +118,21 @@ def test_raise_properties(data):
     else:
         assert kind == PLAIN
         assert rank(raised) == rank(datum)
+
+
+def test_fixed_transpositions(orbits_of):
+    # the shortcut that skips tau_i names exactly the data tau_i fixes
+    for n, k, l in nkl_range(5):
+        for datum in orbits_of(n, k, l):
+            for i in range(1, n):
+                fixed = _transpose(datum, i) == datum
+                assert _fixed_by(datum, i) == fixed, (datum, i)
+                if fixed:
+                    assert raise_candidate(datum, i) is None
+                    assert all(
+                        source != datum
+                        for source, _ in lower_candidate(datum, i)
+                    )
 
 
 def test_lowerings_are_incoming_edges(graph_of):
