@@ -13,7 +13,12 @@ import json
 import sys
 
 from .canonical import canonical_datum
-from .poset import build_graph, desingularization, minimal_orbits
+from .poset import (
+    build_graph,
+    desingularization,
+    enumerate_orbits,
+    minimal_orbits,
+)
 from .serialize import (
     datum_from_json,
     datum_to_json,
@@ -89,9 +94,6 @@ def _read_datum(path: str):
 
 
 def _cmd_enumerate(args) -> int:
-    check_bounds(args.n, args.k, args.l)
-    from .poset import enumerate_orbits
-
     for datum in enumerate_orbits(args.n, args.k, args.l):
         if args.d is not None and stratum(datum) != args.d:
             continue
@@ -117,7 +119,6 @@ def _cmd_dim(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    check_bounds(args.n, args.k, args.l)
     graph = build_graph(args.n, args.k, args.l)
     if args.format == "dot":
         sys.stdout.write(graph_to_dot(graph))
@@ -151,7 +152,6 @@ def _cmd_desing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    check_bounds(args.n, args.k, args.l)
     results = run_suites(
         args.n, args.k, args.l,
         prime=args.prime,

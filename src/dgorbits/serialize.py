@@ -2,9 +2,9 @@
 
 Orbit data serialize to flat JSON objects with sorted index arrays and
 the sigma pairs as [delta, gamma] lists; the optional derived block is
-checked against recomputation when reading.  Graphs serialize to either
-DOT (for rendering) or JSON (lossless round trip).  The matrix text
-format feeds explicit subspace pairs to the command line:
+checked against recomputation when reading.  Graphs are written, not
+read: as DOT (for rendering) or JSON.  The matrix text format feeds
+explicit subspace pairs to the command line:
 
     field Q          (or: field 5)
     n k l
@@ -12,27 +12,22 @@ format feeds explicit subspace pairs to the command line:
                      (blank line)
     <l columns of W, column-major>
 
-Entries are integers or rationals like 3/4; over GF(p) they are reduced
-mod p, and a denominator divisible by p is refused.
+Entries are integers or a/b in ASCII digits, like -3/4; over GF(p) they
+are reduced mod p, and a denominator divisible by p is refused.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 from .linalg import Field, FieldError, QQ
-from .poset import (
-    DesingularizationData,
-    RaisingEdge,
-    WeakOrderGraph,
-    raise_candidate,
-)
+from .poset import DesingularizationData, WeakOrderGraph
 from .subspace import Subspace
 from .young import (
     OrbitDatum,
     check_bounds,
     dimension,
-    dimension_fast,
     rank,
     stratum,
     validate,
@@ -131,67 +126,6 @@ def graph_to_json(graph: WeakOrderGraph) -> dict:
     }
 
 
-def graph_from_json(obj: dict) -> WeakOrderGraph:
-    """Inverse of :func:`graph_to_json`; every dim and edge is re-derived."""
-    try:
-        n, k, l = (_json_int(obj[key], key) for key in ("n", "k", "l"))
-        nodes = sorted(
-            obj["nodes"], key=lambda nd: _json_int(nd["id"], "node id")
-        )
-        if [nd["id"] for nd in nodes] != list(range(len(nodes))):
-            raise ValueError("graph node ids must be 0..len-1")
-        vertices = tuple(datum_from_json(nd["datum"]) for nd in nodes)
-        derived = [
-            {key: _json_int(nd[key], f"node {key}")
-             for key in ("dim", "rank", "stratum")}
-            for nd in nodes
-        ]
-        edges = tuple(
-            RaisingEdge(
-                _json_int(e["source"], "edge source"),
-                _json_int(e["target"], "edge target"),
-                _json_int(e["simpleIndex"], "simpleIndex"),
-                e["kind"],
-            )
-            for e in obj["edges"]
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed graph JSON: {exc}") from exc
-    for vid, (datum, given) in enumerate(zip(vertices, derived)):
-        if (datum.n, datum.k, datum.l) != (n, k, l):
-            raise ValueError(f"node {vid} is not an ({n},{k},{l}) datum")
-        fresh = {
-            "dim": dimension_fast(datum),
-            "rank": rank(datum),
-            "stratum": stratum(datum),
-        }
-        for key, value in given.items():
-            if value != fresh[key]:
-                raise ValueError(
-                    f"node {vid} has {key} {value}, recomputed {fresh[key]}"
-                )
-    dims = tuple(given["dim"] for given in derived)
-    dim_of = dict(zip(vertices, dims))
-    ids = range(len(vertices))
-    for e in edges:
-        if e.source not in ids or e.target not in ids:
-            raise ValueError(
-                f"edge {e.source} -> {e.target} leaves the node ids "
-                f"0..{len(vertices) - 1}"
-            )
-        if raise_candidate(vertices[e.source], e.simple_index, dim_of) != (
-            vertices[e.target], e.kind
-        ):
-            raise ValueError(
-                f"edge {e.source} -> {e.target} is not the raising "
-                f"{e.simple_index} of kind {e.kind!r}"
-            )
-    strata = {}
-    for vid, given in enumerate(derived):
-        strata.setdefault(given["stratum"], []).append(vid)
-    return WeakOrderGraph(n, k, l, vertices, dims, edges, strata)
-
-
 def _dot_label(datum: OrbitDatum) -> str:
     parts = [
         "a=" + ",".join(map(str, datum.alpha)),
@@ -235,9 +169,16 @@ def desing_to_json(dd: DesingularizationData) -> dict:
 # matrix text format
 
 
+_ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def _parse_scalar(token: str, field: Field):
+    match = _ENTRY.fullmatch(token)
+    if match is None:
+        raise ValueError(f"bad matrix entry {token!r}: not an integer or a/b")
+    num, den = match.groups()
     try:
-        return field.elem(Fraction(token))
+        return field.elem(Fraction(int(num), int(den)) if den else int(num))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad matrix entry {token!r}: {exc}") from exc
 

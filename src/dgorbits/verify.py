@@ -38,6 +38,7 @@ from .poset import (
 )
 from .subspace import Subspace
 from .young import (
+    check_bounds,
     dimension,
     dimension_fast,
     grassmannian_permutation,
@@ -48,9 +49,10 @@ from .young import (
 )
 
 
-# Largest number of subspace pairs the field sweeps of one run_suites call
-# may reduce: 18,125 at (4,2,2) take seconds, while (6,3,3) would take
-# about 1.15e9 pairs, more than a day.
+# The primes of run_suites' exhaustive field sweeps, and the largest number
+# of subspace pairs those sweeps may reduce in one call: 18,125 at (4,2,2)
+# take seconds, while (6,3,3) would take about 1.15e9 pairs, over a day.
+SWEEP_PRIMES = (2, 3)
 SWEEP_PAIR_BUDGET = 10**7
 
 
@@ -124,10 +126,8 @@ def check_dimension_agreement(n, k, l):
     return checked, None
 
 
-def check_minimal_orbits(n, k, l, graph: WeakOrderGraph | None = None):
+def check_minimal_orbits(n, k, l, graph: WeakOrderGraph):
     """Minimal-orbit shape, count, dimension, rank, and graph sources."""
-    if graph is None:
-        graph = build_graph(n, k, l)
     checked = 0
     for d, source_ids in graph.sources().items():
         mins = minimal_orbits(n, k, l, d)
@@ -148,10 +148,10 @@ def check_minimal_orbits(n, k, l, graph: WeakOrderGraph | None = None):
     return checked, None
 
 
-def check_b_invariance(n, k, l, prime=1009, trials=1000, seed=0):
+def check_b_invariance(n, k, l, prime=1009, trials=1000):
     """canonical_datum is constant under random upper-triangular action."""
     field = Field(prime)
-    rng = random.Random(f"{seed}:{n}:{k}:{l}:{prime}")
+    rng = random.Random(f"0:{n}:{k}:{l}:{prime}")
     p = field.p
     checked = 0
     for _ in range(trials):
@@ -232,10 +232,8 @@ def check_field_sweep(n, k, l, q):
     return checked, None
 
 
-def check_desing_replay(n, k, l, graph: WeakOrderGraph | None = None):
+def check_desing_replay(n, k, l, graph: WeakOrderGraph):
     """Word replay, word length, and the two reduced Schubert words."""
-    if graph is None:
-        graph = build_graph(n, k, l)
     table = desingularization_table(graph)
     checked = 0
     for vid, datum in enumerate(graph.vertices):
@@ -259,11 +257,11 @@ def check_desing_replay(n, k, l, graph: WeakOrderGraph | None = None):
     return checked, None
 
 
-def check_roundtrip(n, k, l, fields=(QQ, Field(5))):
-    """canonical_datum(canonical_point(d)) = d, plus the sigma invariant."""
+def check_roundtrip(n, k, l):
+    """canonical_point round trip and sigma invariant, over Q and GF(5)."""
     checked = 0
     for datum in enumerate_orbits(n, k, l):
-        for field in fields:
+        for field in (QQ, Field(5)):
             U, W = canonical_point(datum, field)
             back = canonical_datum(U, W)
             if back != datum:
@@ -274,22 +272,22 @@ def check_roundtrip(n, k, l, fields=(QQ, Field(5))):
     return checked, None
 
 
-def run_suites(
-    n, k, l, prime=1009, trials=1000, max_dim_check_n=6, sweep_primes=(2, 3),
-) -> list[SuiteResult]:
+def run_suites(n, k, l, prime=1009, trials=1000,
+               max_dim_check_n=6) -> list[SuiteResult]:
     """Run every suite for one (n, k, l); results in a fixed order.
 
-    Refuses, before any work, a run whose field sweeps would reduce more
-    than ``SWEEP_PAIR_BUDGET`` pairs.
+    Refuses, before any work, bad bounds and a run whose field sweeps
+    would reduce more than ``SWEEP_PAIR_BUDGET`` pairs.
     """
+    check_bounds(n, k, l)
     pairs = sum(
         _gaussian_binomial(n, k, q) * _gaussian_binomial(n, l, q)
-        for q in sweep_primes
+        for q in SWEEP_PRIMES
     )
     if pairs > SWEEP_PAIR_BUDGET:
         raise ValueError(
             f"the field sweeps over "
-            f"{', '.join(f'GF({q})' for q in sweep_primes)} would reduce "
+            f"{', '.join(f'GF({q})' for q in SWEEP_PRIMES)} would reduce "
             f"{pairs:,} subspace pairs at (n,k,l)=({n},{k},{l}), over the "
             f"budget of {SWEEP_PAIR_BUDGET:,}"
         )
@@ -304,7 +302,7 @@ def run_suites(
         jobs.insert(
             0, ("dimension_agreement", check_dimension_agreement, (n, k, l))
         )
-    for q in sweep_primes:
+    for q in SWEEP_PRIMES:
         jobs.append(
             (f"field_sweep_q{q}", check_field_sweep, (n, k, l, q))
         )

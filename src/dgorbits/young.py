@@ -76,28 +76,36 @@ class OrbitDatum:
         return j
 
 
+# Largest n any reader or command accepts: at n = 1000 a dimension or a
+# minimal desingularization takes ms, and n = 10**6 takes 100 MiB in `dim`.
+MAX_N = 1000
+
+
 def check_bounds(n, k, l):
-    """Refuse (n, k, l) unless 0 < k < n and 0 < l < n."""
+    """Refuse (n, k, l) unless 0 < k < n, 0 < l < n and n <= MAX_N."""
     if not (0 < k < n and 0 < l < n):
         raise ValueError(
             f"need 0 < k < n and 0 < l < n, got n={n} k={k} l={l}"
         )
+    if n > MAX_N:
+        raise ValueError(f"n={n} is over the limit MAX_N={MAX_N}")
 
 
 def validate(datum: OrbitDatum) -> list[str]:
     """Return descriptions of every violated invariant (empty list = valid)."""
     bad = []
     n, k, l = datum.n, datum.k, datum.l
-    if not (0 < k < n and 0 < l < n):
-        bad.append("need 0 < k < n and 0 < l < n")
+    try:
+        check_bounds(n, k, l)
+    except ValueError as exc:
+        bad.append(str(exc))
     alpha, beta, pairs = datum.alpha, datum.beta, datum.pairs
     aset, bset = set(alpha), set(beta)
     if len(alpha) != len(aset) or len(aset) != k:
         bad.append("alpha must have exactly k distinct elements")
     if len(beta) != len(bset) or len(bset) + len(pairs) != l:
         bad.append("need |beta| + #pairs = l")
-    allidx = set(range(1, n + 1))
-    if not aset <= allidx or not bset <= allidx:
+    if not all(1 <= x <= n for x in aset | bset):
         bad.append("alpha and beta must lie in [1, n]")
     gammas = [g for _, g in pairs]
     deltas = [d for d, _ in pairs]

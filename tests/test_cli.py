@@ -2,6 +2,7 @@
 
 import io
 import json
+import time
 
 import pytest
 
@@ -13,13 +14,12 @@ from dgorbits.serialize import (
     datum_from_json,
     datum_to_json,
     format_matrix_text,
-    graph_from_json,
     graph_to_dot,
     graph_to_json,
     parse_matrix_text,
 )
 from dgorbits.verify import check_dimension_agreement, run_suites
-from dgorbits.young import OrbitDatum
+from dgorbits.young import MAX_N, OrbitDatum
 
 
 DATUM9 = OrbitDatum.make(9, 4, 3, (3, 5, 6, 9), (2, 5), [(7, 9)])
@@ -90,34 +90,11 @@ def test_matrix_text_parse_errors():
         parse_matrix_text("field 6\n2 1 1\n0 1\n\n1 1\n")
     with pytest.raises(ValueError, match="expected 2 x 1"):
         parse_matrix_text("field Q\n2 1 1\n0 1 1\n\n1 1\n")
-    with pytest.raises(ValueError, match="bad matrix entry"):
-        parse_matrix_text("field Q\n2 1 1\n0 x\n\n1 1\n")
+    for token in ("x", "1e3", "0.5", "1_000"):
+        with pytest.raises(ValueError, match=f"bad matrix entry '{token}'"):
+            parse_matrix_text(f"field Q\n2 1 1\n0 {token}\n\n1 1\n")
     with pytest.raises(ValueError, match="two blank-line-separated"):
         parse_matrix_text("field Q\n2 1 1\n0 1 1 1\n")
-
-
-def test_graph_json_round_trip():
-    graph = build_graph(3, 1, 2)
-    back = graph_from_json(json.loads(json.dumps(graph_to_json(graph))))
-    assert back.vertices == graph.vertices
-    assert back.dims == graph.dims
-    assert back.edges == graph.edges
-    assert back.strata == graph.strata
-
-
-@pytest.mark.parametrize("part, key, value, message", [
-    ("nodes", "dim", 99, "has dim 99, recomputed"),
-    ("nodes", "rank", 99, "has rank 99, recomputed 0"),
-    ("nodes", "stratum", "x", "node stratum must be an integer, got 'x'"),
-    ("edges", "target", 999, "leaves the node ids"),
-    ("edges", "kind", "BOGUS", "is not the raising"),
-    ("edges", "simpleIndex", 9, "out of range"),
-], ids=["dim", "rank", "stratum", "target", "kind", "simple_index"])
-def test_graph_json_rejects_forgeries(part, key, value, message):
-    obj = graph_to_json(build_graph(2, 1, 1))
-    obj[part][0][key] = value
-    with pytest.raises(ValueError, match=message):
-        graph_from_json(obj)
 
 
 def test_graph_dot_output():
@@ -149,11 +126,26 @@ def test_cli_enumerate_stratum_filter(capsys):
     assert len(out.splitlines()) == 2
 
 
-def test_cli_enumerate_bad_bounds(capsys):
-    code, out, err = run_cli(capsys, "enumerate", "--n", "1", "--k", "1",
+@pytest.mark.parametrize("command", ["enumerate", "graph", "minimal",
+                                     "verify"])
+def test_cli_bad_bounds(capsys, command):
+    code, out, err = run_cli(capsys, command, "--n", "2", "--k", "3",
                              "--l", "1")
-    assert code == 2
+    assert (code, out) == (2, "")
     assert "0 < k < n" in err
+
+
+@pytest.mark.parametrize("command", ["dim", "desing"])
+@pytest.mark.parametrize("n", [MAX_N + 1, 10**18], ids=["MAX_N+1", "1e18"])
+def test_cli_refuses_n_over_limit(monkeypatch, capsys, command, n):
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(
+        {"n": n, "k": 1, "l": 1, "alpha": [1], "beta": [1]}
+    )))
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, command)
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert f"n={n} is over the limit MAX_N={MAX_N}" in err
 
 
 def test_cli_usage_error_exit_code(capsys):
@@ -230,9 +222,7 @@ def test_cli_graph_json(capsys):
     code, out, _ = run_cli(capsys, "graph", "--n", "3", "--k", "1",
                            "--l", "1", "--format", "json")
     assert code == 0
-    obj = json.loads(out)
-    assert len(obj["nodes"]) == 12
-    graph_from_json(obj)
+    assert json.loads(out) == graph_to_json(build_graph(3, 1, 1))
 
 
 def test_cli_minimal(capsys):

@@ -1,10 +1,10 @@
-"""Fuzz tests for the three readers: datum JSON, graph JSON, matrix text.
+"""Fuzz tests for the two readers: datum JSON and matrix text.
 
 Every input gives either a valid object or a ``ValueError`` (exit 2 from
 the command line), never another exception.  Inputs are arbitrary values
 and texts, and valid serializations with one part replaced or dropped.
-JSON integers stay small: n sizes the loops of the readers' checks, so
-an arbitrary n would test memory rather than the readers.
+JSON integers are unbounded: the readers refuse any n over ``MAX_N``
+before they size anything by it.
 """
 
 import contextlib
@@ -17,13 +17,11 @@ from hypothesis import given, settings, strategies as st
 from dgorbits.canonical import canonical_point
 from dgorbits.cli import main
 from dgorbits.linalg import Field, QQ
-from dgorbits.poset import WeakOrderGraph, build_graph, enumerate_orbits
+from dgorbits.poset import enumerate_orbits
 from dgorbits.serialize import (
     datum_from_json,
     datum_to_json,
     format_matrix_text,
-    graph_from_json,
-    graph_to_json,
     parse_matrix_text,
 )
 from dgorbits.young import OrbitDatum, validate
@@ -32,7 +30,7 @@ from dgorbits.young import OrbitDatum, validate
 FUZZ = settings(max_examples=60, deadline=None)
 
 JSON = st.recursive(
-    st.none() | st.booleans() | st.integers(-2, 10)
+    st.none() | st.booleans() | st.integers()
     | st.floats(-10, 10) | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=4), inner, max_size=4),
@@ -40,7 +38,6 @@ JSON = st.recursive(
 )
 
 DATA = enumerate_orbits(4, 2, 2)
-GRAPH = graph_to_json(build_graph(3, 1, 2))
 MATRICES = [
     format_matrix_text(*canonical_point(datum, field))
     for datum in DATA[::40]
@@ -102,17 +99,6 @@ def test_datum_json_fuzz(data):
 
 @FUZZ
 @given(st.data())
-def test_graph_json_fuzz(data):
-    try:
-        graph = graph_from_json(mutated(data, GRAPH))
-    except ValueError:
-        return
-    assert isinstance(graph, WeakOrderGraph)
-    assert all(validate(datum) == [] for datum in graph.vertices)
-
-
-@FUZZ
-@given(st.data())
 def test_matrix_text_fuzz(data):
     try:
         U, W = parse_matrix_text(matrix_text(data))
@@ -149,6 +135,5 @@ def test_cli_canonical_fuzz(data):
 
 def test_fuzz_seeds_are_valid():
     # the unmutated seeds are accepted, so the fuzz reaches past the readers
-    assert graph_from_json(GRAPH).vertices == tuple(enumerate_orbits(3, 1, 2))
     for text in MATRICES:
         assert run_cli(["canonical", "-"], text)[0] == 0

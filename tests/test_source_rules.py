@@ -1,19 +1,24 @@
 """Rules for the runtime package, checked on its source with ``ast``.
 
 Invariants that guard the maths raise real exceptions, so that they
-still run under ``python -O``; and the runtime imports nothing outside
-the standard library and its own package.
+still run under ``python -O``; the runtime imports nothing outside the
+standard library and its own package; and every top-level function or
+class is either public (in ``__all__``) or used by the package or the
+benchmark, so no library code lives only for the tests.
 """
 
 import ast
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "dgorbits"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "dgorbits"
 MODULES = sorted(PACKAGE.glob("*.py"))
+BENCH = sorted((ROOT / "dgbench").glob("*.py"))
 ALLOWED = sys.stdlib_module_names | {"dgorbits"}
 
 
@@ -49,3 +54,44 @@ def test_imports_stdlib_or_own_package(path):
             if name.split(".")[0] not in ALLOWED
         ]
     assert outside == [], f"imports outside the standard library: {outside}"
+
+
+def _references(node):
+    """Names that ``node`` uses: loads, attributes, imports, and string
+    constants (``getattr`` targets)."""
+    refs = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            refs[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            refs[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            refs[sub.name] += 1
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            refs[sub.value] += 1
+    return refs
+
+
+def test_no_code_only_tests_use():
+    trees = {
+        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in MODULES + BENCH
+    }
+    refs = sum((_references(tree) for tree in trees.values()), Counter())
+    public = set()
+    for node in trees[PACKAGE / "__init__.py"].body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            public |= set(ast.literal_eval(node.value))
+    unused = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in trees[path].body
+        if isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        )
+        and node.name not in public
+        and refs[node.name] == _references(node)[node.name]
+    ]
+    assert unused == [], f"used by no module, benchmark or __all__: {unused}"
