@@ -5,8 +5,11 @@ Vertices of the weak-order graph are all valid orbit data for a given
 raises the source orbit to the target.  A raising either merges an
 adjacent indentation/spike pattern of the two paths into a new dotted
 box (rank goes up by one) or just swaps the roles of positions i and
-i+1 everywhere (rank unchanged); in both cases the candidate counts as
-a raising exactly when it is a valid datum of dimension one higher.
+i+1 everywhere (rank unchanged).  Which one, if any, depends only on
+the types of positions i and i+1 (the minimal-parabolic case analysis
+of Richardson-Springer), so raising is a lookup in :data:`_RAISES`.
+That every raising gives a valid datum of dimension one higher in the
+same stratum is the invariant :func:`build_graph` checks on each edge.
 A desingularization word needs only the data below its target, which a
 downward search with the inverse raising, :func:`lower_candidate`, finds
 without building the whole graph.
@@ -76,14 +79,12 @@ def _delta_assignments(gammas, candidates):
                 yield (d,) + rest
 
 
-def _dimension(datum: OrbitDatum, dims: dict) -> int:
-    """``dims[datum]``, computed by :func:`_dimension_sets` on first use."""
-    dim = dims.get(datum)
-    if dim is None:
-        dim = dims[datum] = _dimension_sets(
-            set(datum.alpha), set(datum.beta) | datum.gammas, datum.pairs
-        )
-    return dim
+def _dimensions(vertices) -> tuple:
+    """The dimension of each datum, one :func:`_dimension_sets` call each."""
+    return tuple(
+        _dimension_sets(set(d.alpha), set(d.beta) | d.gammas, d.pairs)
+        for d in vertices
+    )
 
 
 def _check_index(datum: OrbitDatum, i: int):
@@ -113,48 +114,71 @@ def _fixed_by(datum: OrbitDatum, i: int) -> bool:
     )
 
 
-def raise_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
+# The type of a flag position: "a" in alpha only, "b" in beta only, "ab"
+# in both, "d" a delta, "g" a gamma, "-" none of these.  A key is (type of
+# i, type of i+1, partner(i) < partner(i+1) when both are in pairs, else
+# None); every key not listed does not raise.
+_RAISES = {
+    ("a", "b", None): RANK_RAISING,  # U at i and W at i+1 make pair (i, i+1)
+    ("b", "a", None): RANK_RAISING,  # W at i and U at i+1 make pair (i, i+1)
+    ("a", "-", None): PLAIN,         # a jump of U moves up
+    ("b", "-", None): PLAIN,         # a pure jump of W moves up
+    ("ab", "-", None): PLAIN,        # a shared jump moves up
+    ("ab", "a", None): PLAIN,        # W's jump moves up past U's
+    ("ab", "b", None): PLAIN,        # U's jump moves up past W's
+    ("d", "-", None): PLAIN,         # a delta moves up
+    ("a", "d", None): PLAIN,         # a delta moves down past a jump of U
+    ("b", "d", None): PLAIN,         # a delta moves down past W's pure jump
+    ("ab", "d", None): PLAIN,        # a delta moves down past a shared jump
+    ("g", "-", None): PLAIN,         # a gamma moves up
+    ("g", "a", None): PLAIN,         # a gamma moves up past a jump of U
+    ("g", "b", None): PLAIN,         # a gamma moves up past W's pure jump
+    ("ab", "g", None): PLAIN,        # a gamma moves down past a shared jump
+    ("d", "d", True): PLAIN,         # two deltas cross: the pairs nest
+    ("g", "g", True): PLAIN,         # two gammas cross: the pairs nest
+    ("g", "d", True): PLAIN,         # a gamma moves up past another delta
+}
+
+
+def _position_type(datum: OrbitDatum, x: int):
+    """(type of position x, its partner or None); see :data:`_RAISES`."""
+    for d, g in datum.pairs:
+        if x == d:
+            return "d", g
+        if x == g:
+            return "g", d
+    if x in datum.alpha:
+        return ("ab" if x in datum.beta else "a"), None
+    return ("b" if x in datum.beta else "-"), None
+
+
+def raise_candidate(datum: OrbitDatum, i: int):
     """Result of letting the i-th minimal parabolic act, if it raises.
 
     Returns (raised_datum, kind) or None.  kind is RANK_RAISING when a
     new (i, i+1) pair appears, PLAIN when the data is just transposed.
-    ``dims`` maps data to their dimensions; it is read first and filled
-    with what is computed, so that a caller raising many data computes
-    each dimension once.
+    The answer is the :data:`_RAISES` entry for the types of positions i
+    and i+1; that the raised datum is valid, of dimension one higher, is
+    the invariant :func:`build_graph` checks.
     """
     _check_index(datum, i)
-    aset = set(datum.alpha)
-    bset = set(datum.beta)
-    gset = datum.gammas
-    pattern = (
-        i in aset and i not in bset and i + 1 not in aset and i + 1 in bset
-        and i not in gset
-    ) or (
-        i not in aset and i in bset and i + 1 in aset and i + 1 not in bset
-        and i + 1 not in gset
+    ti, pi = _position_type(datum, i)
+    tj, pj = _position_type(datum, i + 1)
+    kind = _RAISES.get(
+        (ti, tj, None if pi is None or pj is None else pi < pj)
     )
-    if pattern:
-        cand = OrbitDatum.make(
-            datum.n, datum.k, datum.l,
-            (aset - {i}) | {i + 1}, bset - {i, i + 1},
-            datum.pairs + ((i, i + 1),),
-        )
-        kind = RANK_RAISING
-    elif _fixed_by(datum, i):
-        return None     # the datum itself, of the same dimension
-    else:
-        cand = _transpose(datum, i)
-        kind = PLAIN
-    if validate(cand):
+    if kind is None:
         return None
-    if dims is None:
-        dims = {}
-    if _dimension(cand, dims) != _dimension(datum, dims) + 1:
-        return None
-    return cand, kind
+    if kind == PLAIN:
+        return _transpose(datum, i), kind
+    return OrbitDatum.make(
+        datum.n, datum.k, datum.l,
+        (set(datum.alpha) - {i}) | {i + 1}, set(datum.beta) - {i, i + 1},
+        datum.pairs + ((i, i + 1),),
+    ), kind
 
 
-def lower_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
+def lower_candidate(datum: OrbitDatum, i: int):
     """Inverse of :func:`raise_candidate`: every (source, kind) with
     ``raise_candidate(source, i) == (datum, kind)``, source valid.
 
@@ -162,8 +186,7 @@ def lower_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
     when (i, i+1) is a pair of ``datum``, the datum without that pair with
     either i+1 moved from alpha to beta and i put into alpha, or i put
     into beta (RANK_RAISING).  Each is kept only when raising it gives
-    ``datum`` back, so raising keeps its single definition.  ``dims`` is
-    as for :func:`raise_candidate`.
+    ``datum`` back, so raising keeps its single definition.
     """
     _check_index(datum, i)
     n, k, l = datum.n, datum.k, datum.l
@@ -177,15 +200,11 @@ def lower_candidate(datum: OrbitDatum, i: int, dims: dict | None = None):
             (OrbitDatum.make(n, k, l, aset, bset | {i}, pairs),
              RANK_RAISING),
         ]
-    if dims is None:
-        dims = {}
-    below = _dimension(datum, dims) - 1
     return [
         (source, kind)
         for source, kind in tries
         if not validate(source)
-        and _dimension(source, dims) == below
-        and raise_candidate(source, i, dims) == (datum, kind)
+        and raise_candidate(source, i) == (datum, kind)
     ]
 
 
@@ -195,6 +214,14 @@ class RaisingEdge:
     target: int
     simple_index: int
     kind: str
+
+
+def _check_dimension_step(edge: RaisingEdge, dims):
+    if dims[edge.target] != dims[edge.source] + 1:
+        raise RuntimeError(
+            f"raising {edge} goes from dimension {dims[edge.source]} "
+            f"to {dims[edge.target]}"
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,27 +276,36 @@ class WeakOrderGraph:
 def build_graph(n, k, l) -> WeakOrderGraph:
     """All raisings between the orbit data for (n, k, l).
 
-    The graph is acyclic by construction (every edge raises dimension);
-    the single-sink-per-stratum invariant is checked.
+    Every edge is checked to end at a vertex of the same stratum, one
+    dimension higher, so the graph is acyclic; the single-sink-per-
+    stratum invariant is checked too.  A failed check is a
+    ``RuntimeError`` naming the edge.
     """
     vertices = tuple(enumerate_orbits(n, k, l))
-    index = {d: i for i, d in enumerate(vertices)}
-    dim_of = {}
-    dims = tuple(_dimension(d, dim_of) for d in vertices)
+    index = {d: v for v, d in enumerate(vertices)}
+    dims = _dimensions(vertices)
+    strata_of = tuple(stratum(d) for d in vertices)
     edges = []
     strata = {}
     for vid, datum in enumerate(vertices):
-        strata.setdefault(stratum(datum), []).append(vid)
+        strata.setdefault(strata_of[vid], []).append(vid)
         for i in range(1, n):
-            res = raise_candidate(datum, i, dim_of)
+            res = raise_candidate(datum, i)
             if res is None:
                 continue
             cand, kind = res
-            edges.append(RaisingEdge(vid, index[cand], i, kind))
+            target = index.get(cand)
+            if target is None:
+                raise RuntimeError(
+                    f"raising {datum} by s_{i} ({kind}) gives {cand}, "
+                    "which is not a vertex"
+                )
+            edge = RaisingEdge(vid, target, i, kind)
+            if strata_of[target] != strata_of[vid]:
+                raise RuntimeError(f"raising {edge} crossed a GL-stratum")
+            _check_dimension_step(edge, dims)
+            edges.append(edge)
     graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), strata)
-    for e in graph.edges:
-        if stratum(vertices[e.source]) != stratum(vertices[e.target]):
-            raise RuntimeError(f"raising {e} crossed a GL-stratum")
     for d, sink_ids in graph.sinks().items():
         if len(sink_ids) != 1:
             raise RuntimeError(f"stratum {d} has {len(sink_ids)} sinks")
@@ -368,13 +404,12 @@ def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
     are sorted like ``enumerate_orbits``, by (alpha, beta, pairs), so
     that vertex ids compare as they do in the whole graph.
     """
-    dims = {}
     incoming = {datum: []}
     todo = [datum]
     while todo:
         target = todo.pop()
         for i in range(1, datum.n):
-            for source, kind in lower_candidate(target, i, dims):
+            for source, kind in lower_candidate(target, i):
                 incoming[target].append((source, i, kind))
                 if source not in incoming:
                     incoming[source] = []
@@ -383,14 +418,16 @@ def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
         sorted(incoming, key=lambda d: (d.alpha, d.beta, d.pairs))
     )
     index = {d: v for v, d in enumerate(vertices)}
+    dims = _dimensions(vertices)
     edges = tuple(
         RaisingEdge(index[source], index[target], i, kind)
         for target in vertices
         for source, i, kind in incoming[target]
     )
+    for edge in edges:
+        _check_dimension_step(edge, dims)
     return WeakOrderGraph(
-        datum.n, datum.k, datum.l, vertices,
-        tuple(dims[d] for d in vertices), edges,
+        datum.n, datum.k, datum.l, vertices, dims, edges,
         {stratum(datum): list(range(len(vertices)))},
     )
 

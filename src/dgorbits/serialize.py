@@ -12,8 +12,9 @@ explicit subspace pairs to the command line:
                      (blank line)
     <l columns of W, column-major>
 
-Entries are integers or a/b in ASCII digits, like -3/4; over GF(p) they
-are reduced mod p, and a denominator divisible by p is refused.
+The prime p and the sizes are ASCII digits; entries are integers or a/b
+in ASCII digits, like -3/4.  Over GF(p) entries are reduced mod p, and a
+denominator divisible by p is refused.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from .linalg import Field, FieldError, QQ
+from .linalg import Field, QQ
 from .poset import DesingularizationData, WeakOrderGraph
 from .subspace import Subspace
 from .young import (
@@ -170,6 +171,7 @@ def desing_to_json(dd: DesingularizationData) -> dict:
 
 
 _ENTRY = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_DIGITS = re.compile(r"[0-9]+")
 
 
 def _parse_scalar(token: str, field: Field):
@@ -194,13 +196,23 @@ def parse_matrix_text(text: str):
         raise ValueError(f"bad field line {header[0]!r}: expected 'field Q|q'")
     if field_parts[1] in ("Q", "QQ"):
         field = QQ
+    elif not _DIGITS.fullmatch(field_parts[1]):
+        raise ValueError(
+            f"bad field {field_parts[1]!r}: not Q or ASCII digits"
+        )
     else:
         try:
             field = Field(int(field_parts[1]))
-        except (ValueError, FieldError) as exc:
+        except ValueError as exc:
             raise ValueError(f"bad field {field_parts[1]!r}: {exc}") from exc
+    sizes = header[1].split()
+    for token in sizes:
+        if not _DIGITS.fullmatch(token):
+            raise ValueError(
+                f"bad size {token!r} in {header[1]!r}: not ASCII digits"
+            )
     try:
-        n, k, l = (int(x) for x in header[1].split())
+        n, k, l = (int(x) for x in sizes)
     except ValueError as exc:
         raise ValueError(f"bad size line {header[1]!r}: {exc}") from exc
     check_bounds(n, k, l)

@@ -93,6 +93,12 @@ def test_matrix_text_parse_errors():
     for token in ("x", "1e3", "0.5", "1_000"):
         with pytest.raises(ValueError, match=f"bad matrix entry '{token}'"):
             parse_matrix_text(f"field Q\n2 1 1\n0 {token}\n\n1 1\n")
+    for token in ("1_3", "\u0661\u0663"):
+        with pytest.raises(ValueError, match=f"bad field '{token}'"):
+            parse_matrix_text(f"field {token}\n2 1 1\n0 1\n\n1 1\n")
+    for size, token in (("\u0662 1 1", "\u0662"), ("2 1 1_0", "1_0")):
+        with pytest.raises(ValueError, match=f"bad size '{token}'"):
+            parse_matrix_text(f"field Q\n{size}\n0 1\n\n1 1\n")
     with pytest.raises(ValueError, match="two blank-line-separated"):
         parse_matrix_text("field Q\n2 1 1\n0 1 1 1\n")
 
@@ -190,6 +196,19 @@ def test_cli_canonical_denominator_divisible_by_p(tmp_path, capsys):
     code, out, err = run_cli(capsys, "canonical", str(path))
     assert (code, out) == (2, "")
     assert "1/7" in err
+
+
+@pytest.mark.parametrize("header, token", [
+    ("field 1_3\n2 1 1", "1_3"),
+    ("field Q\n\u0662 1 1", "\u0662"),
+])
+def test_cli_canonical_rejects_non_ascii_header(tmp_path, capsys, header,
+                                                token):
+    path = tmp_path / "bad.txt"
+    path.write_text(header + "\n0 1\n\n1 1\n", encoding="utf-8")
+    code, out, err = run_cli(capsys, "canonical", str(path))
+    assert (code, out) == (2, "")
+    assert repr(token) in err
 
 
 def test_cli_dim_stdin(monkeypatch, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
+    _RAISES,
     _fixed_by,
     _transpose,
     build_graph,
@@ -18,7 +19,14 @@ from dgorbits.poset import (
     raise_candidate,
     replay_word,
 )
-from dgorbits.young import OrbitDatum, dimension, rank, stratum, validate
+from dgorbits.young import (
+    OrbitDatum,
+    dimension,
+    dimension_fast,
+    rank,
+    stratum,
+    validate,
+)
 
 from conftest import nkl_range
 
@@ -118,6 +126,57 @@ def test_raise_properties(data):
     else:
         assert kind == PLAIN
         assert rank(raised) == rank(datum)
+
+
+def reference_raise(datum, i):
+    """The defining rule the table in ``poset`` replaces: the (i, i+1)
+    merge when i and i+1 carry an unpaired jump of U and a pure jump of W,
+    else tau_i; it raises when the result is valid, one dimension up."""
+    aset, bset, gset = set(datum.alpha), set(datum.beta), datum.gammas
+    j = i + 1
+    if (i in aset - bset - gset and j in bset - aset) or (
+        i in bset - aset and j in aset - bset - gset
+    ):
+        cand = OrbitDatum.make(
+            datum.n, datum.k, datum.l, (aset - {i}) | {j}, bset - {i, j},
+            datum.pairs + ((i, j),),
+        )
+        kind = RANK_RAISING
+    else:
+        cand, kind = _transpose(datum, i), PLAIN
+    if validate(cand) or dimension_fast(cand) != dimension_fast(datum) + 1:
+        return None
+    return cand, kind
+
+
+def reference_mismatches(max_n, orbits=enumerate_orbits):
+    """(datum, i) with n <= max_n where the table and the rule differ."""
+    return [
+        (datum, i)
+        for n, k, l in nkl_range(max_n)
+        for datum in orbits(n, k, l)
+        for i in range(1, n)
+        if raise_candidate(datum, i) != reference_raise(datum, i)
+    ]
+
+
+def test_raise_matches_reference(orbits_of):
+    assert reference_mismatches(6, orbits_of) == []
+
+
+@pytest.mark.parametrize("key, kind", [
+    (("a", "b", None), PLAIN),
+    (("a", "-", None), RANK_RAISING),
+], ids=["(a,b)=PLAIN", "(a,-)=RANK_RAISING"])
+def test_build_graph_guards_the_table(monkeypatch, key, kind):
+    """A table row with the wrong kind makes ``build_graph`` raise.
+
+    A row deleted from the table only drops edges, which this guard
+    cannot see; ``test_raise_matches_reference`` catches that.
+    """
+    monkeypatch.setitem(_RAISES, key, kind)
+    with pytest.raises(RuntimeError, match="raising"):
+        build_graph(4, 2, 2)
 
 
 def test_fixed_transpositions(orbits_of):

@@ -4,13 +4,17 @@ Invariants that guard the maths raise real exceptions, so that they
 still run under ``python -O``; the runtime imports nothing outside the
 standard library and its own package; and every top-level function or
 class is either public (in ``__all__``) or used by the package or the
-benchmark, so no library code lives only for the tests.
+benchmark, so no library code lives only for the tests.  Every name the
+benchmark's tracer wraps exists where it looks for it.
 """
 
 import ast
+import importlib
+import importlib.util
 import sys
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -95,3 +99,24 @@ def test_no_code_only_tests_use():
         and refs[node.name] == _references(node)[node.name]
     ]
     assert unused == [], f"used by no module, benchmark or __all__: {unused}"
+
+
+def test_bench_wrap_sites_resolve():
+    # the tracer wraps owner.__dict__[attr]; a renamed or dropped import
+    # (``poset.validate``, say) would otherwise fail only in a traced run
+    spec = importlib.util.spec_from_file_location(
+        "dgbench_tracing", ROOT / "dgbench" / "tracing.py"
+    )
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    prog = SimpleNamespace(**{
+        m: importlib.import_module("dgorbits." + m)
+        for m in ("young", "linalg", "subspace", "poset", "canonical",
+                  "serialize")
+    })
+    missing = [
+        f"{owner.__name__}.{attr}"
+        for owner, attr, _, _ in tracing.layer_targets(prog)
+        if attr not in owner.__dict__
+    ]
+    assert missing == [], f"wrap sites not found: {missing}"
