@@ -8,9 +8,9 @@ cross-checked against exact linear algebra over Q and GF(p).
 from .canonical import (
     canonical_datum,
     canonical_point,
+    datum_from_ranks,
     stabilizer_dim_oracle,
     stabilizer_system_prop2,
-    verify_sigma_invariant,
 )
 from .linalg import Field, FieldError, QQ
 from .poset import (
@@ -66,6 +66,7 @@ __all__ = [
     "canonical_datum",
     "canonical_point",
     "common_diagram",
+    "datum_from_ranks",
     "desingularization",
     "desingularization_table",
     "dimension",
@@ -84,5 +85,4 @@ __all__ = [
     "stabilizer_system_prop2",
     "stratum",
     "validate",
-    "verify_sigma_invariant",
 ]

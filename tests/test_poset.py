@@ -22,7 +22,6 @@ from dgorbits.poset import (
 from dgorbits.young import (
     OrbitDatum,
     dimension,
-    dimension_fast,
     rank,
     stratum,
     validate,
@@ -144,7 +143,7 @@ def reference_raise(datum, i):
         kind = RANK_RAISING
     else:
         cand, kind = _transpose(datum, i), PLAIN
-    if validate(cand) or dimension_fast(cand) != dimension_fast(datum) + 1:
+    if validate(cand) or dimension(cand) != dimension(datum) + 1:
         return None
     return cand, kind
 
@@ -172,11 +171,28 @@ def test_build_graph_guards_the_table(monkeypatch, key, kind):
     """A table row with the wrong kind makes ``build_graph`` raise.
 
     A row deleted from the table only drops edges, which this guard
-    cannot see; ``test_raise_matches_reference`` catches that.
+    cannot see; ``test_raise_matches_reference`` catches that, and so
+    does ``test_raises_table_symmetries`` unless the row's whole orbit
+    under the two symmetries is deleted.
     """
     monkeypatch.setitem(_RAISES, key, kind)
     with pytest.raises(RuntimeError, match="raising"):
         build_graph(4, 2, 2)
+
+
+def test_raises_table_symmetries():
+    """Each row maps to a row of the same kind under the two symmetries of
+    Gr(k, V) x Gr(l, V): swapping U and W exchanges a and b; duality (U
+    and W to their annihilators, positions reversed) also exchanges d and
+    g, and ab and -, and puts position i+1 before position i."""
+    swap = {"a": "b", "b": "a"}
+    dual = {"a": "b", "b": "a", "d": "g", "g": "d", "ab": "-", "-": "ab"}
+    for (x, y, bit), kind in _RAISES.items():
+        for image in (
+            (swap.get(x, x), swap.get(y, y), bit),
+            (dual[y], dual[x], bit),
+        ):
+            assert _RAISES.get(image) == kind, ((x, y, bit), image)
 
 
 def test_fixed_transpositions(orbits_of):

@@ -4,8 +4,10 @@ Invariants that guard the maths raise real exceptions, so that they
 still run under ``python -O``; the runtime imports nothing outside the
 standard library and its own package; and every top-level function or
 class is either public (in ``__all__``) or used by the package or the
-benchmark, so no library code lives only for the tests.  Every name the
-benchmark's tracer wraps exists where it looks for it.
+benchmark, and every method and property is called as an attribute by
+the package or the benchmark, so no library code lives only for the
+tests.  Every name the benchmark's tracer wraps exists where it looks
+for it.
 """
 
 import ast
@@ -76,6 +78,28 @@ def _references(node):
     return refs
 
 
+def _attributes(node):
+    """Attribute names that ``node`` uses (``x.name``).  Bare names do not
+    count: the builtin ``sum`` or a benchmark function ``cell_of`` would
+    hide a dead method of the same name."""
+    return Counter(
+        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
+    )
+
+
+def _methods(tree):
+    """(class name, definition) of every non-dunder method and property of
+    a top-level class."""
+    return [
+        (cls.name, item)
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+        for item in cls.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (item.name.startswith("__") and item.name.endswith("__"))
+    ]
+
+
 def test_no_code_only_tests_use():
     trees = {
         path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -97,6 +121,14 @@ def test_no_code_only_tests_use():
         )
         and node.name not in public
         and refs[node.name] == _references(node)[node.name]
+    ]
+    # a method counts as used only where it is looked up outside its body
+    attrs = sum((_attributes(tree) for tree in trees.values()), Counter())
+    unused += [
+        f"{path.name}:{cls}.{node.name}"
+        for path in MODULES
+        for cls, node in _methods(trees[path])
+        if attrs[node.name] == _attributes(node)[node.name]
     ]
     assert unused == [], f"used by no module, benchmark or __all__: {unused}"
 
