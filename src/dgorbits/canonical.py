@@ -195,11 +195,10 @@ class LinearSystem:
         )
 
     def rank(self) -> int:
-        vars_ = self.variables
-        index = {v: c for c, v in enumerate(vars_)}
+        index = {v: c for c, v in enumerate(self.variables)}
         rows = []
         for eq in self.equations:
-            row = [0] * len(vars_)
+            row = [0] * len(index)
             for v, coeff in eq.items():
                 row[index[v]] = coeff
             rows.append(row)
@@ -295,20 +294,16 @@ def stabilizer_dim_oracle(datum: OrbitDatum, field=QQ) -> int:
         raise ValueError("the stabilizer oracle runs over Q only")
     U, W = canonical_point(datum, field)
     n = datum.n
-    variables = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    index = {v: c for c, v in enumerate(variables)}
-    rows = []
+    eqs = []
     for space in (U, W):
         cols = [[int(x) for x in col] for col in space.columns]
         for y in _annihilator_rows(cols, n):
             for u in cols:
-                row = [0] * len(variables)
-                for i in range(1, n + 1):
-                    if not y[i - 1]:
-                        continue
-                    for j in range(i, n + 1):
-                        if u[j - 1]:
-                            row[index[(i, j)]] += y[i - 1] * u[j - 1]
-                if any(row):
-                    rows.append(row)
-    return len(variables) - int_matrix_rank(rows)
+                eq = {
+                    (i, j): y[i - 1] * u[j - 1]
+                    for i in range(1, n + 1) if y[i - 1]
+                    for j in range(i, n + 1) if u[j - 1]
+                }
+                if eq:
+                    eqs.append(eq)
+    return LinearSystem(n, tuple(eqs)).nullity()

@@ -28,7 +28,7 @@ from .serialize import (
     parse_matrix_text,
 )
 from .verify import run_suites
-from .young import check_bounds, dimension, rank, stratum
+from .young import strata, stratum
 
 
 def _add_nkl(sub):
@@ -112,11 +112,7 @@ def _cmd_canonical(args) -> int:
 
 def _cmd_dim(args) -> int:
     datum = _read_datum(args.file)
-    print(json.dumps({
-        "dim": dimension(datum),
-        "rank": rank(datum),
-        "stratum": stratum(datum),
-    }))
+    print(json.dumps(datum_to_json(datum, derived=True)["derived"]))
     return 0
 
 
@@ -130,13 +126,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_minimal(args) -> int:
-    check_bounds(args.n, args.k, args.l)
-    lo = max(0, args.k + args.l - args.n)
-    hi = min(args.k, args.l)
-    strata = (
-        [args.d] if args.d is not None else list(range(lo, hi + 1))
-    )
-    for d in strata:
+    ds = strata(args.n, args.k, args.l) if args.d is None else [args.d]
+    for d in ds:
         mins = minimal_orbits(args.n, args.k, args.l, d)
         print(json.dumps({
             "d": d,

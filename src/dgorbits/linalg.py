@@ -14,6 +14,7 @@ positions, minimal flag member of a coset) single reductions.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 
 
 class FieldError(ValueError):
@@ -99,26 +100,7 @@ QQ = Field()
 
 
 def _is_prime(m):
-    if m < 2:
-        return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if m % q == 0:
-            return m == q
-    d, s = m - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, m)
-        if x in (1, m - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % m
-            if x == m - 1:
-                break
-        else:
-            return False
-    return True
+    return m >= 2 and all(m % q for q in range(2, isqrt(m) + 1))
 
 
 class SpanReducer:

@@ -8,19 +8,21 @@ box (rank goes up by one) or just swaps the roles of positions i and
 i+1 everywhere (rank unchanged).  Which one, if any, depends only on
 the types of positions i and i+1 (the minimal-parabolic case analysis
 of Richardson-Springer), so raising is a lookup in :data:`_RAISES`.
-That every raising gives a valid datum of dimension one higher in the
-same stratum is the invariant :func:`build_graph` checks on each edge.
 A desingularization word needs only the data below its target, which a
 downward search with the inverse raising, :func:`lower_candidate`, finds
-without building the whole graph.
+without building the whole graph.  One builder, :func:`_checked_graph`,
+makes both the whole graph and a lower interval, and checks every edge
+of either: it ends at a vertex of the same stratum, one dimension
+higher, and each stratum has one sink.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
+from operator import attrgetter, lt
 
 from .young import (
     GrassPermutationWord,
@@ -28,6 +30,7 @@ from .young import (
     _dimension_sets,
     check_bounds,
     grassmannian_word,
+    strata,
     stratum,
     validate,
 )
@@ -39,9 +42,13 @@ PLAIN = "PLAIN"
 # has 48,620 at d = 0, built in under a second, and (40,20,20) about 1.4e11.
 MINIMAL_BUDGET = 10**5
 
+# The order of every vertex list: enumerate_orbits, minimal_orbits and
+# lower intervals, so that vertex ids compare alike in all of them.
+VERTEX_ORDER = attrgetter("alpha", "beta", "pairs")
+
 
 def enumerate_orbits(n, k, l) -> list[OrbitDatum]:
-    """All valid orbit data for (n, k, l), in lexicographic order.
+    """All valid orbit data for (n, k, l), sorted by :data:`VERTEX_ORDER`.
 
     Choose alpha, a subset gamma of alpha, an injective assignment of a
     smaller partner delta outside alpha to each gamma, and finally beta
@@ -57,7 +64,9 @@ def enumerate_orbits(n, k, l) -> list[OrbitDatum]:
             if l - r > n - 2 * r:
                 continue
             for gammas in combinations(alpha, r):
-                for deltas in _delta_assignments(gammas, non_alpha):
+                for deltas in permutations(non_alpha, r):
+                    if not all(map(lt, deltas, gammas)):
+                        continue
                     used = set(gammas) | set(deltas)
                     rest = [x for x in indices if x not in used]
                     pairs = tuple(sorted(zip(deltas, gammas)))
@@ -65,22 +74,8 @@ def enumerate_orbits(n, k, l) -> list[OrbitDatum]:
                         out.append(
                             OrbitDatum(n, k, l, alpha, beta, pairs)
                         )
-    out.sort(key=lambda d: (d.alpha, d.beta, d.pairs))
+    out.sort(key=VERTEX_ORDER)
     return out
-
-
-def _delta_assignments(gammas, candidates):
-    """Injective maps gamma -> delta with delta < gamma, delta not in alpha."""
-    if not gammas:
-        yield ()
-        return
-    g, tail = gammas[0], gammas[1:]
-    for d in candidates:
-        if d < g:
-            for rest in _delta_assignments(
-                tail, [x for x in candidates if x != d]
-            ):
-                yield (d,) + rest
 
 
 def _dimensions(vertices) -> tuple:
@@ -162,8 +157,8 @@ def raise_candidate(datum: OrbitDatum, i: int):
     Returns (raised_datum, kind) or None.  kind is RANK_RAISING when a
     new (i, i+1) pair appears, PLAIN when the data is just transposed.
     The answer is the :data:`_RAISES` entry for the types of positions i
-    and i+1; that the raised datum is valid, of dimension one higher, is
-    the invariant :func:`build_graph` checks.
+    and i+1; that the raised datum is a vertex, of dimension one higher,
+    is the invariant :func:`_checked_graph` checks.
     """
     _check_index(datum, i)
     ti, pi = _position_type(datum, i)
@@ -220,14 +215,6 @@ class RaisingEdge:
     kind: str
 
 
-def _check_dimension_step(edge: RaisingEdge, dims):
-    if dims[edge.target] != dims[edge.source] + 1:
-        raise RuntimeError(
-            f"raising {edge} goes from dimension {dims[edge.source]} "
-            f"to {dims[edge.target]}"
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class WeakOrderGraph:
     """Weak-order raising graph on orbit data for one (n, k, l): all of
@@ -277,24 +264,24 @@ class WeakOrderGraph:
         }
 
 
-def build_graph(n, k, l) -> WeakOrderGraph:
-    """All raisings between the orbit data for (n, k, l).
+def _checked_graph(n, k, l, vertices, raise_by) -> WeakOrderGraph:
+    """The graph on ``vertices`` with an edge for each ``raise_by(datum, i)``
+    that is not None, over every vertex and simple index i.
 
     Every edge is checked to end at a vertex of the same stratum, one
-    dimension higher, so the graph is acyclic; the single-sink-per-
-    stratum invariant is checked too.  A failed check is a
-    ``RuntimeError`` naming the edge.
+    dimension higher, so the graph is acyclic; each stratum is checked to
+    have one sink.  A failed check is a ``RuntimeError`` naming the edge
+    or the stratum.
     """
-    vertices = tuple(enumerate_orbits(n, k, l))
     index = {d: v for v, d in enumerate(vertices)}
     dims = _dimensions(vertices)
     strata_of = tuple(stratum(d) for d in vertices)
     edges = []
-    strata = {}
+    by_stratum = {}
     for vid, datum in enumerate(vertices):
-        strata.setdefault(strata_of[vid], []).append(vid)
+        by_stratum.setdefault(strata_of[vid], []).append(vid)
         for i in range(1, n):
-            res = raise_candidate(datum, i)
+            res = raise_by(datum, i)
             if res is None:
                 continue
             cand, kind = res
@@ -307,13 +294,24 @@ def build_graph(n, k, l) -> WeakOrderGraph:
             edge = RaisingEdge(vid, target, i, kind)
             if strata_of[target] != strata_of[vid]:
                 raise RuntimeError(f"raising {edge} crossed a GL-stratum")
-            _check_dimension_step(edge, dims)
+            if dims[target] != dims[vid] + 1:
+                raise RuntimeError(
+                    f"raising {edge} goes from dimension {dims[vid]} "
+                    f"to {dims[target]}"
+                )
             edges.append(edge)
-    graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), strata)
+    graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), by_stratum)
     for d, sink_ids in graph.sinks().items():
         if len(sink_ids) != 1:
             raise RuntimeError(f"stratum {d} has {len(sink_ids)} sinks")
     return graph
+
+
+def build_graph(n, k, l) -> WeakOrderGraph:
+    """All raisings between the orbit data for (n, k, l), checked by
+    :func:`_checked_graph`."""
+    vertices = tuple(enumerate_orbits(n, k, l))
+    return _checked_graph(n, k, l, vertices, raise_candidate)
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +321,7 @@ def build_graph(n, k, l) -> WeakOrderGraph:
 def minimal_orbits(n, k, l, d) -> list[OrbitDatum]:
     """The weak-order minimal data of the stratum dim(U cap W) = d, if
     there are at most ``MINIMAL_BUDGET`` of them."""
-    check_bounds(n, k, l)
-    if not max(0, k + l - n) <= d <= min(k, l):
+    if d not in strata(n, k, l):
         raise ValueError(f"stratum d={d} out of bounds for (n,k,l)=({n},{k},{l})")
     count = comb(k + l - 2 * d, k - d)
     if count > MINIMAL_BUDGET:
@@ -339,7 +336,7 @@ def minimal_orbits(n, k, l, d) -> list[OrbitDatum]:
         alpha = shared + extra
         beta = shared + tuple(x for x in window if x not in set(extra))
         out.append(OrbitDatum.make(n, k, l, alpha, beta, ()))
-    out.sort(key=lambda dd: (dd.alpha, dd.beta))
+    out.sort(key=VERTEX_ORDER)
     if len(out) != count:
         raise RuntimeError(f"stratum {d} has {len(out)} minimal orbits")
     return out
@@ -411,35 +408,25 @@ def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
     """The subgraph of ``build_graph`` on the data at or below ``datum``.
 
     Found by searching down from ``datum`` with :func:`lower_candidate`,
-    so it holds every incoming edge of each of its vertices.  Vertices
-    are sorted like ``enumerate_orbits``, by (alpha, beta, pairs), so
-    that vertex ids compare as they do in the whole graph.
+    so it holds every incoming edge of each of its vertices, and checked
+    like the whole graph by :func:`_checked_graph`.  Vertices are sorted
+    by :data:`VERTEX_ORDER`, so that vertex ids compare as they do in the
+    whole graph.
     """
-    incoming = {datum: []}
+    raised = {}  # (source, i) -> (target, kind)
+    seen = {datum}
     todo = [datum]
     while todo:
         target = todo.pop()
         for i in range(1, datum.n):
             for source, kind in lower_candidate(target, i):
-                incoming[target].append((source, i, kind))
-                if source not in incoming:
-                    incoming[source] = []
+                raised[source, i] = (target, kind)
+                if source not in seen:
+                    seen.add(source)
                     todo.append(source)
-    vertices = tuple(
-        sorted(incoming, key=lambda d: (d.alpha, d.beta, d.pairs))
-    )
-    index = {d: v for v, d in enumerate(vertices)}
-    dims = _dimensions(vertices)
-    edges = tuple(
-        RaisingEdge(index[source], index[target], i, kind)
-        for target in vertices
-        for source, i, kind in incoming[target]
-    )
-    for edge in edges:
-        _check_dimension_step(edge, dims)
-    return WeakOrderGraph(
-        datum.n, datum.k, datum.l, vertices, dims, edges,
-        {stratum(datum): list(range(len(vertices)))},
+    return _checked_graph(
+        datum.n, datum.k, datum.l, tuple(sorted(seen, key=VERTEX_ORDER)),
+        lambda source, i: raised.get((source, i)),
     )
 
 

@@ -82,6 +82,12 @@ def check_bounds(n, k, l):
         raise ValueError(f"n={n} is over the limit MAX_N={MAX_N}")
 
 
+def strata(n, k, l) -> range:
+    """The strata d = dim(U cap W) of (n, k, l), after :func:`check_bounds`."""
+    check_bounds(n, k, l)
+    return range(max(0, k + l - n), min(k, l) + 1)
+
+
 def validate(datum: OrbitDatum) -> list[str]:
     """Return descriptions of every violated invariant (empty list = valid)."""
     bad = []

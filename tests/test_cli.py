@@ -18,7 +18,11 @@ from dgorbits.serialize import (
     graph_to_json,
     parse_matrix_text,
 )
-from dgorbits.verify import check_dimension_agreement, run_suites
+from dgorbits.verify import (
+    TRIALS_BUDGET,
+    check_dimension_agreement,
+    run_suites,
+)
 from dgorbits.young import MAX_N, OrbitDatum
 
 
@@ -304,6 +308,16 @@ def test_cli_verify_refuses_trials_below_one(capsys, trials):
                              "--l", "1", "--trials", trials)
     assert (code, out) == (2, "")
     assert f"need at least 1 B-invariance trial, got {trials}" in err
+
+
+def test_cli_verify_refuses_trials_over_budget(capsys):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "1",
+                             "--l", "1", "--trials", "1000000000")
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert "1,000,000,000 B-invariance trials" in err
+    assert f"TRIALS_BUDGET={TRIALS_BUDGET:,}" in err
 
 
 def test_cli_minimal_refuses_over_budget(capsys):

@@ -30,9 +30,14 @@ GF5 = Field(5)
 
 
 def test_field_rejects_composite():
-    for bad in (1, 4, 2**31, 561, 1009 * 1013):
-        with pytest.raises(FieldError):
+    for bad in (0, 1, 4, 1001, 2**31 - 3, 2**31, 561, 1009 * 1013):
+        with pytest.raises(FieldError, match="not a valid prime"):
             Field(bad)
+
+
+def test_field_accepts_small_primes():
+    for p in (2, 3, 1009):
+        assert Field(p).p == p
 
 
 def test_field_accepts_large_prime():

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from dgorbits import poset
 from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
@@ -23,6 +24,7 @@ from dgorbits.young import (
     OrbitDatum,
     dimension,
     rank,
+    strata,
     stratum,
     validate,
 )
@@ -70,6 +72,12 @@ def test_enumerate_bounds():
         enumerate_orbits(1, 1, 1)
     with pytest.raises(ValueError):
         enumerate_orbits(3, 3, 1)
+
+
+def test_strata_are_the_strata_of_the_data(orbits_of):
+    for n, k, l in nkl_range(6):
+        found = {stratum(d) for d in orbits_of(n, k, l)}
+        assert set(strata(n, k, l)) == found, (n, k, l)
 
 
 # ---------------------------------------------------------------------------
@@ -340,6 +348,28 @@ def test_desing_matches_table(graph_of):
             word, mid = table[vid]
             dd = desingularization(datum)
             assert (dd.word, dd.minimal) == (word, graph.vertices[mid])
+
+
+def test_lower_interval_guards_the_strata(monkeypatch):
+    """A lowering out of the target's stratum makes ``desingularization``
+    raise: the lower interval is checked like the whole graph, not only
+    for the dimension step, which this foreign source passes."""
+    target = OrbitDatum.make(4, 2, 2, (1, 2), (2, 4))
+    foreign = OrbitDatum.make(4, 2, 2, (1, 4), (1, 4))
+    assert validate(foreign) == []
+    assert (stratum(target), stratum(foreign)) == (1, 2)
+    assert dimension(foreign) == dimension(target) - 1
+    lower = poset.lower_candidate
+
+    def lower_with_foreign(datum, i):
+        found = lower(datum, i)
+        if (datum, i) == (target, 1):
+            found.append((foreign, PLAIN))
+        return found
+
+    monkeypatch.setattr(poset, "lower_candidate", lower_with_foreign)
+    with pytest.raises(RuntimeError, match="crossed a GL-stratum"):
+        desingularization(target)
 
 
 def test_desing_replay_exhaustive_small(graph_of):

@@ -2,19 +2,17 @@
 
 Invariants that guard the maths raise real exceptions, so that they
 still run under ``python -O``; the runtime imports nothing outside the
-standard library and its own package; and every top-level function or
-class is either public (in ``__all__``) or used by the package or the
-benchmark, and every method and property is called as an attribute by
-the package or the benchmark, so no library code lives only for the
-tests.  Every name the benchmark's tracer wraps exists where it looks
-for it.
+standard library and its own package; and every top-level function,
+class, method and property is reachable from the package's module-level
+code (``__all__``, the CLI entry) or the benchmark, through code that is
+itself reachable, so no library code lives only for the tests.  Every
+name the benchmark's tracer wraps exists where it looks for it.
 """
 
 import ast
 import importlib
 import importlib.util
 import sys
-from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -62,75 +60,77 @@ def test_imports_stdlib_or_own_package(path):
     assert outside == [], f"imports outside the standard library: {outside}"
 
 
-def _references(node):
-    """Names that ``node`` uses: loads, attributes, imports, and string
-    constants (``getattr`` targets)."""
-    refs = Counter()
-    for sub in ast.walk(node):
+def _references(nodes):
+    """(every name, attribute names) that ``nodes`` use.  Every name means
+    loads, attributes, imports and string constants (``getattr`` targets,
+    ``__all__``); attribute names are only the ``x.name`` uses, so that
+    the builtin ``sum`` or a benchmark function ``cell_of`` would not hide
+    a dead method of the same name."""
+    names, attrs = set(), set()
+    for sub in (s for node in nodes for s in ast.walk(node)):
         if isinstance(sub, ast.Name):
-            refs[sub.id] += 1
+            names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
-            refs[sub.attr] += 1
+            names.add(sub.attr)
+            attrs.add(sub.attr)
         elif isinstance(sub, ast.alias):
-            refs[sub.name] += 1
+            names.add(sub.name)
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            refs[sub.value] += 1
-    return refs
+            names.add(sub.value)
+    return names, attrs
 
 
-def _attributes(node):
-    """Attribute names that ``node`` uses (``x.name``).  Bare names do not
-    count: the builtin ``sum`` or a benchmark function ``cell_of`` would
-    hide a dead method of the same name."""
-    return Counter(
-        sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute)
-    )
-
-
-def _methods(tree):
-    """(class name, definition) of every non-dunder method and property of
-    a top-level class."""
-    return [
-        (cls.name, item)
-        for cls in tree.body
-        if isinstance(cls, ast.ClassDef)
-        for item in cls.body
-        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and not (item.name.startswith("__") and item.name.endswith("__"))
-    ]
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
 
 
 def test_no_code_only_tests_use():
-    trees = {
-        path: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        for path in MODULES + BENCH
-    }
-    refs = sum((_references(tree) for tree in trees.values()), Counter())
-    public = set()
-    for node in trees[PACKAGE / "__init__.py"].body:
-        if isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            public |= set(ast.literal_eval(node.value))
-    unused = [
-        f"{path.name}:{node.name}"
-        for path in MODULES
-        for node in trees[path].body
-        if isinstance(
-            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    """Every top-level function and class and every method is reachable
+    from the roots: the module-level code of each package module (its
+    imports, ``__all__`` and the CLI entry), the dunder methods, and every
+    name the benchmark mentions.  A function or class is reached by any
+    reference to its name, a method only by an attribute reference."""
+    roots = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in BENCH
+    ]
+    defs = []  # (label, name, reached by attribute only, body)
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defs.append((f"{path.name}:{node.name}", node.name, False,
+                             [node]))
+            elif isinstance(node, ast.ClassDef):
+                body = [*node.bases, *node.keywords, *node.decorator_list]
+                for item in node.body:
+                    if not isinstance(
+                        item, (ast.FunctionDef, ast.AsyncFunctionDef)
+                    ):
+                        body.append(item)
+                    elif _is_dunder(item.name):
+                        roots.append(item)
+                    else:
+                        defs.append((f"{path.name}:{node.name}.{item.name}",
+                                     item.name, True, [item]))
+                defs.append((f"{path.name}:{node.name}", node.name, False,
+                             body))
+            else:
+                roots.append(node)
+    names, attrs = _references(roots)
+    unreached = defs
+    while reached := [
+        entry for entry in unreached
+        if entry[1] in (attrs if entry[2] else names)
+    ]:
+        unreached = [entry for entry in unreached if entry not in reached]
+        more_names, more_attrs = _references(
+            node for *_, body in reached for node in body
         )
-        and node.name not in public
-        and refs[node.name] == _references(node)[node.name]
-    ]
-    # a method counts as used only where it is looked up outside its body
-    attrs = sum((_attributes(tree) for tree in trees.values()), Counter())
-    unused += [
-        f"{path.name}:{cls}.{node.name}"
-        for path in MODULES
-        for cls, node in _methods(trees[path])
-        if attrs[node.name] == _attributes(node)[node.name]
-    ]
-    assert unused == [], f"used by no module, benchmark or __all__: {unused}"
+        names |= more_names
+        attrs |= more_attrs
+    unused = [entry[0] for entry in unreached]
+    assert unused == [], f"not reachable from the package or benchmark: {unused}"
 
 
 def test_bench_wrap_sites_resolve():
