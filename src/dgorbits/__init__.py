@@ -32,7 +32,6 @@ from .poset import (
 from .subspace import Subspace
 from .young import (
     CommonDiagram,
-    GrassPermutationWord,
     MarkedPair,
     OrbitDatum,
     YoungDiagram,
@@ -52,7 +51,6 @@ __all__ = [
     "DesingularizationData",
     "Field",
     "FieldError",
-    "GrassPermutationWord",
     "MarkedPair",
     "OrbitDatum",
     "PLAIN",

@@ -9,8 +9,8 @@ inside U.  The recursion over quotient spaces is flattened: instead of
 actually forming V/Z we keep the consumed span Z inside the reducers
 (U+Z, W+Z, U+W+Z) and track which original flag indices remain.
 
-``datum_from_ranks`` is a second classifier with no case analysis: it
-reads the datum off B-invariant rank numbers.
+``datum_from_ranks`` is a second classifier of a Subspace pair, with no
+case analysis: it reads the datum off B-invariant rank numbers.
 
 The two stabilizer computations live here as well: the explicit linear
 system on upper-triangular matrix entries, and an independent oracle
@@ -135,8 +135,8 @@ def canonical_point(datum: OrbitDatum, field=QQ):
     return Subspace(field, n, ucols), Subspace(field, n, wcols)
 
 
-def datum_from_ranks(field, n, ucols, wcols) -> OrbitDatum:
-    """Read the datum of (U, W) off B-invariant rank numbers.
+def datum_from_ranks(U: Subspace, W: Subspace) -> OrbitDatum:
+    """Read the datum of the pair (U, W) off B-invariant rank numbers.
 
     With a(j) = dim(U cap V_j) and r(i, j) = dim(W cap (V_i + U cap V_j))
     for i <= j: alpha is the set of jumps of a, the W-jumps are the jumps
@@ -145,12 +145,14 @@ def datum_from_ranks(field, n, ucols, wcols) -> OrbitDatum:
     (r(i, j) counts the pairs with d <= i and g <= j, plus beta terms that
     have no mixed difference at d < g).  B fixes every V_i.
     """
-    urows = SpanReducer(field, n, ucols).rows
+    U._check_compatible(W)
+    field, n = U.field, U.n
+    urows = SpanReducer(field, n, U.columns).rows
     aset = {piv + 1 for piv in urows}
     a = [len([x for x in aset if x <= j]) for j in range(n + 1)]
-    l = len(wcols)
+    l = W.dim
     r = {}
-    wv = SpanReducer(field, n, wcols)             # W + V_i
+    wv = SpanReducer(field, n, W.columns)         # W + V_i
     for i in range(n + 1):
         if i:
             wv.add(_basis_vector(field, n, i))
@@ -168,7 +170,7 @@ def datum_from_ranks(field, n, ucols, wcols) -> OrbitDatum:
         for d in range(1, g)
         if r[d, g] - r[d - 1, g] - r[d, g - 1] + r[d - 1, g - 1] == 1
     ]
-    return OrbitDatum.make(n, len(ucols), l, aset, wjumps - gammas, pairs)
+    return OrbitDatum.make(n, U.dim, l, aset, wjumps - gammas, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -282,17 +284,14 @@ def _annihilator_rows(cols, n):
     return out
 
 
-def stabilizer_dim_oracle(datum: OrbitDatum, field=QQ) -> int:
+def stabilizer_dim_oracle(datum: OrbitDatum) -> int:
     """Dimension of the upper-triangular stabilizer of the canonical point.
 
-    Computed as the nullity of the conditions A.U <= U and A.W <= W on
-    the n(n+1)/2 upper-triangular entries; the orbit dimension is
-    n(n+1)/2 minus this value.  Exact characteristic-zero arithmetic
-    only.
+    Computed over Q as the nullity of the conditions A.U <= U and
+    A.W <= W on the n(n+1)/2 upper-triangular entries; the orbit
+    dimension is n(n+1)/2 minus this value.
     """
-    if field != QQ:
-        raise ValueError("the stabilizer oracle runs over Q only")
-    U, W = canonical_point(datum, field)
+    U, W = canonical_point(datum)
     n = datum.n
     eqs = []
     for space in (U, W):

@@ -28,7 +28,7 @@ from .serialize import (
     parse_matrix_text,
 )
 from .verify import run_suites
-from .young import strata, stratum
+from .young import check_stratum, strata, stratum
 
 
 def _add_nkl(sub):
@@ -96,6 +96,8 @@ def _read_datum(path: str):
 
 
 def _cmd_enumerate(args) -> int:
+    if args.d is not None:
+        check_stratum(args.n, args.k, args.l, args.d)
     for datum in enumerate_orbits(args.n, args.k, args.l):
         if args.d is not None and stratum(datum) != args.d:
             continue
@@ -145,14 +147,11 @@ def _cmd_desing(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites(
-        args.n, args.k, args.l,
-        prime=args.prime,
-        trials=args.trials,
-    )
-    for res in results:
-        print(json.dumps(res.as_dict()))
-    return 0 if all(res.passed for res in results) else 1
+    passed = True
+    for res in run_suites(args.n, args.k, args.l, args.prime, args.trials):
+        print(json.dumps(res.as_dict()), flush=True)
+        passed = passed and res.passed
+    return 0 if passed else 1
 
 
 _COMMANDS = {

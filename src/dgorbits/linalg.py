@@ -171,13 +171,11 @@ def top_index(v):
     return None
 
 
-def rref(rows, field, ncols=None):
+def rref(rows, field, ncols):
     """Reduced row echelon form (leftmost pivots); zero rows dropped.
 
     Returns (rref_rows, pivot_column_indices).
     """
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
     mat = [list(r) for r in rows]
     pivots = []
     r = 0
@@ -197,10 +195,8 @@ def rref(rows, field, ncols=None):
     return [mat[i] for i in range(r)], pivots
 
 
-def nullspace(rows, field, ncols=None):
-    """Basis of {x : M x = 0} with M given by ``rows``."""
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
+def nullspace(rows, field, ncols):
+    """Basis of {x : M x = 0} with M given by ``rows`` of length ``ncols``."""
     red, pivots = rref(rows, field, ncols)
     pivset = set(pivots)
     basis = []

@@ -25,12 +25,11 @@ from math import comb
 from operator import attrgetter, lt
 
 from .young import (
-    GrassPermutationWord,
     OrbitDatum,
     _dimension_sets,
     check_bounds,
+    check_stratum,
     grassmannian_word,
-    strata,
     stratum,
     validate,
 )
@@ -102,17 +101,6 @@ def _transpose(datum: OrbitDatum, i: int) -> OrbitDatum:
     )
 
 
-def _fixed_by(datum: OrbitDatum, i: int) -> bool:
-    """Whether tau_i(datum) is datum: i and i+1 lie in the same ones of
-    alpha and beta, and in no pair."""
-    j = i + 1
-    return (
-        (i in datum.alpha) == (j in datum.alpha)
-        and (i in datum.beta) == (j in datum.beta)
-        and not any(i in pair or j in pair for pair in datum.pairs)
-    )
-
-
 # The type of a flag position: "a" in alpha only, "b" in beta only, "ab"
 # in both, "d" a delta, "g" a gamma, "-" none of these.  A key is (type of
 # i, type of i+1, partner(i) < partner(i+1) when both are in pairs, else
@@ -181,15 +169,19 @@ def lower_candidate(datum: OrbitDatum, i: int):
     """Inverse of :func:`raise_candidate`: every (source, kind) with
     ``raise_candidate(source, i) == (datum, kind)``, source valid.
 
-    The sources to try are tau_i(datum) (PLAIN, unless it is datum) and,
-    when (i, i+1) is a pair of ``datum``, the datum without that pair with
-    either i+1 moved from alpha to beta and i put into alpha, or i put
-    into beta (RANK_RAISING).  Each is kept only when raising it gives
-    ``datum`` back, so raising keeps its single definition.
+    The sources to try are tau_i(datum) (PLAIN, unless tau_i fixes datum:
+    positions i and i+1 of one type, in no pair) and, when (i, i+1) is a
+    pair of ``datum``, the datum without that pair with either i+1 moved
+    from alpha to beta and i put into alpha, or i put into beta
+    (RANK_RAISING).  Each is kept only when raising it gives ``datum``
+    back, so raising keeps its single definition.
     """
     _check_index(datum, i)
     n, k, l = datum.n, datum.k, datum.l
-    tries = [] if _fixed_by(datum, i) else [(_transpose(datum, i), PLAIN)]
+    ti, pi = _position_type(datum, i)
+    tj, pj = _position_type(datum, i + 1)
+    fixed = ti == tj and pi is None and pj is None
+    tries = [] if fixed else [(_transpose(datum, i), PLAIN)]
     if (i, i + 1) in datum.pairs:
         aset, bset = set(datum.alpha), set(datum.beta)
         pairs = [p for p in datum.pairs if p != (i, i + 1)]
@@ -321,8 +313,7 @@ def build_graph(n, k, l) -> WeakOrderGraph:
 def minimal_orbits(n, k, l, d) -> list[OrbitDatum]:
     """The weak-order minimal data of the stratum dim(U cap W) = d, if
     there are at most ``MINIMAL_BUDGET`` of them."""
-    if d not in strata(n, k, l):
-        raise ValueError(f"stratum d={d} out of bounds for (n,k,l)=({n},{k},{l})")
+    check_stratum(n, k, l, d)
     count = comb(k + l - 2 * d, k - d)
     if count > MINIMAL_BUDGET:
         raise ValueError(
@@ -370,8 +361,8 @@ class DesingularizationData:
     target: OrbitDatum
     minimal: OrbitDatum
     word: tuple[int, ...]
-    bs_first: GrassPermutationWord
-    bs_second: GrassPermutationWord
+    bs_first: tuple[int, ...]
+    bs_second: tuple[int, ...]
 
 
 def desingularization_table(graph: WeakOrderGraph) -> dict:

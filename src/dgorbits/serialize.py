@@ -64,6 +64,10 @@ def _json_int(value, what):
     return value
 
 
+# The keys datum_to_json writes; datum_from_json refuses any other.
+_DATUM_KEYS = {"n", "k", "l", "alpha", "beta", "sigma_pairs", "derived"}
+
+
 def datum_from_json(obj: dict) -> OrbitDatum:
     try:
         n, k, l = (_json_int(obj[key], key) for key in ("n", "k", "l"))
@@ -82,6 +86,11 @@ def datum_from_json(obj: dict) -> OrbitDatum:
                 key: _json_int(derived[key], key)
                 for key in ("dim", "rank", "stratum")
             }
+        unknown = [key for key in obj if key not in _DATUM_KEYS] + [
+            key for key in obj.get("derived") or () if key not in derived
+        ]
+        if unknown:
+            raise ValueError(f"unknown key {unknown[0]!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed orbit datum JSON: {exc}") from exc
     bad = validate(datum)
@@ -161,8 +170,8 @@ def desing_to_json(dd: DesingularizationData) -> dict:
         "target": datum_to_json(dd.target, derived=True),
         "minimal": datum_to_json(dd.minimal, derived=True),
         "word": list(dd.word),
-        "bsFirst": list(dd.bs_first.word),
-        "bsSecond": list(dd.bs_second.word),
+        "bsFirst": list(dd.bs_first),
+        "bsSecond": list(dd.bs_second),
     }
 
 

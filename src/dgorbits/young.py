@@ -88,6 +88,12 @@ def strata(n, k, l) -> range:
     return range(max(0, k + l - n), min(k, l) + 1)
 
 
+def check_stratum(n, k, l, d):
+    """Refuse d unless it is one of the :func:`strata` of (n, k, l)."""
+    if d not in strata(n, k, l):
+        raise ValueError(f"stratum d={d} out of bounds for (n,k,l)=({n},{k},{l})")
+
+
 def validate(datum: OrbitDatum) -> list[str]:
     """Return descriptions of every violated invariant (empty list = valid)."""
     bad = []
@@ -327,16 +333,7 @@ def is_reduced(n, word) -> bool:
     return inversion_count(word_permutation(n, word)) == len(word)
 
 
-@dataclass(frozen=True)
-class GrassPermutationWord:
-    """Reduced word for the Grassmannian permutation of a diagram."""
-
-    n: int
-    word: tuple[int, ...]
-    target_length: int
-
-
-def grassmannian_word(n, height, vertical_set) -> GrassPermutationWord:
+def grassmannian_word(n, height, vertical_set) -> tuple[int, ...]:
     """Reduced word for the Grassmannian permutation of ``vertical_set``.
 
     The box in row r (from the top) and column c contributes the simple
@@ -353,4 +350,4 @@ def grassmannian_word(n, height, vertical_set) -> GrassPermutationWord:
         row_len = diagram.rows[r - 1]
         for c in range(row_len, 0, -1):
             word.append(diagram.height - r + c)
-    return GrassPermutationWord(n, tuple(word), diagram.size)
+    return tuple(word)

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgorbits.canonical import (
-    _canonical_datum,
     canonical_datum,
     canonical_point,
     datum_from_ranks,
@@ -94,21 +93,17 @@ def test_canonical_datum_off_canonical_input():
 # jump sets and the rank-number readout
 
 
-def _readout(U, W):
-    return datum_from_ranks(U.field, U.n, U.columns, W.columns)
-
-
 def test_jump_sets_examples():
     U, W = open_pair_n2()
-    read = _readout(U, W)
+    read = datum_from_ranks(U, W)
     assert (read.alpha, read.w_jumps) == ((2,), (2,))
     e = lambda i: [int(j == i) for j in range(1, 6)]
     V2 = Subspace(QQ, 5, [e(1), e(2)])
     V3 = Subspace(QQ, 5, [e(1), e(2), e(3)])
-    read = _readout(V2, V3)
+    read = datum_from_ranks(V2, V3)
     assert (read.alpha, read.w_jumps) == ((1, 2), (1, 2, 3))
     skew = Subspace(QQ, 4, [[1, 0, 1, 0], [0, 1, 0, 1]])
-    assert _readout(skew, skew).alpha == (3, 4)
+    assert datum_from_ranks(skew, skew).alpha == (3, 4)
 
 
 @given(st.data())
@@ -117,17 +112,26 @@ def test_jump_sets_match_canonical(data):
     k, l = data.draw(st.integers(1, n - 1)), data.draw(st.integers(1, n - 1))
     U = Subspace(GF7, n, draw_basis(data, 7, n, k))
     W = Subspace(GF7, n, draw_basis(data, 7, n, l))
-    assert _readout(U, W) == canonical_datum(U, W)
+    assert datum_from_ranks(U, W) == canonical_datum(U, W)
+
+
+@pytest.mark.parametrize("classify", [canonical_datum, datum_from_ranks])
+def test_classifiers_refuse_mismatched_pairs(classify):
+    U = Subspace(QQ, 3, [[1, 0, 0]])
+    with pytest.raises(ValueError, match="field mismatch"):
+        classify(U, Subspace(GF5, 3, [[0, 1, 0]]))
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        classify(U, Subspace(QQ, 4, [[0, 1, 0, 0]]))
 
 
 def test_rank_readout_open_pair():
     U, W = open_pair_n2()
     datum = canonical_datum(U, W)
-    assert _readout(U, W) == datum
+    assert datum_from_ranks(U, W) == datum
     # the forgery has the open pair's jump sets, but not its rank numbers
     forged = OrbitDatum.make(2, 1, 1, (2,), (2,))
     assert (forged.alpha, forged.w_jumps) == (datum.alpha, datum.w_jumps)
-    assert _readout(U, W) != forged
+    assert datum_from_ranks(U, W) != forged
 
 
 def test_rank_readout_matches_canonical_sweep():
@@ -136,11 +140,13 @@ def test_rank_readout_matches_canonical_sweep():
     for q in (2, 3):
         field = Field(q)
         for n, k, l in nkl_range(4):
-            for ucols in all_subspaces(field, n, k):
-                for wcols in all_subspaces(field, n, l):
-                    assert datum_from_ranks(field, n, ucols, wcols) == (
-                        _canonical_datum(field, n, ucols, wcols)
-                    ), (q, ucols, wcols)
+            us = [Subspace(field, n, u) for u in all_subspaces(field, n, k)]
+            ws = [Subspace(field, n, w) for w in all_subspaces(field, n, l)]
+            for U in us:
+                for W in ws:
+                    assert datum_from_ranks(U, W) == canonical_datum(U, W), (
+                        q, U.columns, W.columns
+                    )
                     pairs += 1
     assert pairs == 49222
 
@@ -175,11 +181,6 @@ def test_stabilizer_reference_datum():
     assert stabilizer_system_prop2(DATUM9).nullity() == 25
     assert stabilizer_dim_oracle(DATUM9) == 25
     assert 9 * 10 // 2 - 25 == dimension(DATUM9)
-
-
-def test_oracle_requires_characteristic_zero():
-    with pytest.raises(ValueError, match="over Q only"):
-        stabilizer_dim_oracle(DATUM9, GF5)
 
 
 def test_triple_agreement_small():

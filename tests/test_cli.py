@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from dgorbits import verify
 from dgorbits.canonical import canonical_point
 from dgorbits.cli import main
 from dgorbits.linalg import Field, QQ
@@ -137,6 +138,15 @@ def test_cli_enumerate_stratum_filter(capsys):
                            "--l", "1", "--d", "1")
     assert code == 0
     assert len(out.splitlines()) == 2
+
+
+@pytest.mark.parametrize("command", ["enumerate", "minimal"])
+@pytest.mark.parametrize("d", ["7", "-1"])
+def test_cli_refuses_stratum_out_of_bounds(capsys, command, d):
+    code, out, err = run_cli(capsys, command, "--n", "4", "--k", "2",
+                             "--l", "2", "--d", d)
+    assert (code, out) == (2, "")
+    assert f"stratum d={d} out of bounds for (n,k,l)=(4,2,2)" in err
 
 
 @pytest.mark.parametrize("command", ["enumerate", "graph", "minimal",
@@ -273,6 +283,26 @@ def test_cli_desing_stdin(monkeypatch, capsys):
     assert obj["bsSecond"] == [1]
 
 
+MISSPELLED = ('{"n":4,"k":2,"l":2,"alpha":[3,4],"beta":[1,2],'
+              '"sigma_pair":[[1,3]]}')
+EXTRA_DERIVED = json.dumps({
+    **datum_to_json(OPEN2, derived=True),
+    "derived": {"dim": 2, "rank": 1, "stratum": 0, "codim": 1},
+})
+
+
+@pytest.mark.parametrize("command", ["dim", "desing"])
+@pytest.mark.parametrize("text, key", [
+    (MISSPELLED, "sigma_pair"),
+    (EXTRA_DERIVED, "codim"),
+], ids=["datum_key", "derived_key"])
+def test_cli_refuses_unknown_keys(monkeypatch, capsys, command, text, key):
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    code, out, err = run_cli(capsys, command)
+    assert (code, out) == (2, "")
+    assert f"unknown key {key!r}" in err
+
+
 def test_cli_desing_invalid_datum(monkeypatch, capsys):
     monkeypatch.setattr(
         "sys.stdin",
@@ -293,6 +323,21 @@ def test_cli_verify_passes(capsys):
     names = {s["suite"] for s in suites}
     assert "dimension_agreement" in names
     assert "field_sweep_q2" in names
+
+
+def test_cli_verify_prints_each_suite_as_it_finishes(monkeypatch, capsys):
+    def broken(n, k, l):
+        raise RuntimeError("the round trip suite broke")
+
+    monkeypatch.setattr(verify, "check_roundtrip", broken)
+    with pytest.raises(RuntimeError, match="round trip suite broke"):
+        main(["verify", "--n", "3", "--k", "2", "--l", "1",
+              "--trials", "25", "--prime", "13"])
+    out = capsys.readouterr().out
+    assert [json.loads(line)["suite"] for line in out.splitlines()] == [
+        "dimension_agreement", "minimal_orbits", "desing_replay",
+        "b_invariance",
+    ]
 
 
 def test_cli_verify_refuses_absurd_sweep(capsys):

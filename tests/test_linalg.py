@@ -133,7 +133,7 @@ def test_reducer_rank_matches_rref(data):
         list(col)
         for col in draw_basis(data, 5, 9, 3) + draw_basis(data, 5, 9, 4)
     ]
-    assert SpanReducer(GF5, 9, stacked).dim == len(rref(stacked, GF5)[0])
+    assert SpanReducer(GF5, 9, stacked).dim == len(rref(stacked, GF5, 9)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +142,7 @@ def test_reducer_rank_matches_rref(data):
 
 def test_rref_known_matrix():
     rows = [[1, 2, 3], [2, 4, 6], [1, 1, 1]]
-    red, pivots = rref([[QQ.elem(x) for x in r] for r in rows], QQ)
+    red, pivots = rref([[QQ.elem(x) for x in r] for r in rows], QQ, 3)
     assert pivots == [0, 1]
     assert red == [[1, 0, -1], [0, 1, 2]]
 
@@ -156,7 +156,7 @@ def test_int_rank_matches_rref_rank(data):
         min_size=nrows, max_size=nrows,
     ))
     qrows = [[QQ.elem(x) for x in r] for r in rows]
-    assert int_matrix_rank(rows) == len(rref(qrows, QQ)[0])
+    assert int_matrix_rank(rows) == len(rref(qrows, QQ, ncols)[0])
 
 
 @BOTH_FIELDS

@@ -8,7 +8,7 @@ from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
     _RAISES,
-    _fixed_by,
+    _position_type,
     _transpose,
     build_graph,
     desingularization,
@@ -204,12 +204,18 @@ def test_raises_table_symmetries():
 
 
 def test_fixed_transpositions(orbits_of):
-    # the shortcut that skips tau_i names exactly the data tau_i fixes
+    # the shortcut in lower_candidate that skips tau_i (positions i and
+    # i+1 of one type, in no pair) names exactly the data tau_i fixes
     for n, k, l in nkl_range(5):
         for datum in orbits_of(n, k, l):
             for i in range(1, n):
                 fixed = _transpose(datum, i) == datum
-                assert _fixed_by(datum, i) == fixed, (datum, i)
+                (ti, pi), (tj, pj) = (
+                    _position_type(datum, i), _position_type(datum, i + 1)
+                )
+                assert (ti == tj and pi is None and pj is None) == fixed, (
+                    datum, i
+                )
                 if fixed:
                     assert raise_candidate(datum, i) is None
                     assert all(
@@ -318,8 +324,8 @@ def test_desing_open_n2():
     dd = desingularization(datum)
     assert dd.word == (1,)
     assert dd.minimal == OrbitDatum.make(2, 1, 1, (1,), (2,))
-    assert dd.bs_first.word == ()
-    assert dd.bs_second.word == (1,)
+    assert dd.bs_first == ()
+    assert dd.bs_second == (1,)
     assert replay_word(dd.minimal, dd.word) == datum
 
 

@@ -6,7 +6,9 @@ standard library and its own package; and every top-level function,
 class, method and property is reachable from the package's module-level
 code (``__all__``, the CLI entry) or the benchmark, through code that is
 itself reachable, so no library code lives only for the tests.  Every
-name the benchmark's tracer wraps exists where it looks for it.
+parameter default is overridden by some call in the package or the
+benchmark, so no default is a knob with one value.  Every name the
+benchmark's tracer wraps exists where it looks for it.
 """
 
 import ast
@@ -131,6 +133,75 @@ def test_no_code_only_tests_use():
         attrs |= more_attrs
     unused = [entry[0] for entry in unreached]
     assert unused == [], f"not reachable from the package or benchmark: {unused}"
+
+
+def _defaults(tree):
+    """(call name, position, parameter) for every parameter default of
+    every function and method in ``tree``.  A method's position does not
+    count ``self`` or ``cls``; ``__init__`` is called by its class name.
+    Keyword-only parameters have position None."""
+    owner = {
+        id(item): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body
+    }
+    out = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        name, args = node.name, node.args
+        params = [a.arg for a in args.posonlyargs + args.args]
+        decorators = {getattr(d, "id", None) for d in node.decorator_list}
+        if id(node) in owner and "staticmethod" not in decorators:
+            params = params[1:]
+            if name == "__init__":
+                name = owner[id(node)]
+        out += [
+            (name, params.index(param), param)
+            for param in params[len(params) - len(args.defaults):]
+        ]
+        out += [
+            (name, None, a.arg)
+            for a, default in zip(args.kwonlyargs, args.kw_defaults)
+            if default is not None
+        ]
+    return out
+
+
+def _overrides(call, position, param):
+    """Whether ``call`` passes its own value for a parameter."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+        return True
+    return position is not None and len(call.args) > position
+
+
+def test_no_one_value_defaults():
+    """Every parameter default in the package is overridden by at least
+    one call in the package or the benchmark, matched by name, so no
+    default holds the only value a parameter ever takes.  ``main(argv)``
+    is exempt: the tests pass ``argv``."""
+    calls = {}
+    for path in MODULES + BENCH:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    one_value = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for name, position, param in _defaults(tree):
+            if (path.name, name) == ("cli.py", "main"):
+                continue
+            if not any(
+                _overrides(call, position, param)
+                for call in calls.get(name, ())
+            ):
+                one_value.append(f"{path.name}:{name}({param})")
+    assert one_value == [], f"defaults no call overrides: {one_value}"
 
 
 def test_bench_wrap_sites_resolve():
