@@ -40,6 +40,11 @@ PLAIN = "PLAIN"
 # The most minimal orbits minimal_orbits builds for one stratum: (18,9,9)
 # has 48,620 at d = 0, built in under a second, and (40,20,20) about 1.4e11.
 MINIMAL_BUDGET = 10**5
+# The most lowering steps, one lower_candidate call each, that a
+# desingularization may search: the open (12,2,2) orbit needs 114,345 and
+# is answered in 1.3 s; the open (n,2,2) orbit is refused within 1.5 s for
+# n = 16 to 1000, where with no bound n = 100 would run for hours.
+DESING_BUDGET = 250_000
 
 # The order of every vertex list: enumerate_orbits, minimal_orbits and
 # lower intervals, so that vertex ids compare alike in all of them.
@@ -400,15 +405,24 @@ def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
 
     Found by searching down from ``datum`` with :func:`lower_candidate`,
     so it holds every incoming edge of each of its vertices, and checked
-    like the whole graph by :func:`_checked_graph`.  Vertices are sorted
+    like the whole graph by :func:`_checked_graph`.  A search that would
+    take more than ``DESING_BUDGET`` lowering steps is refused with a
+    ``ValueError`` as soon as it passes the budget.  Vertices are sorted
     by :data:`VERTEX_ORDER`, so that vertex ids compare as they do in the
     whole graph.
     """
     raised = {}  # (source, i) -> (target, kind)
     seen = {datum}
     todo = [datum]
+    steps = 0
     while todo:
         target = todo.pop()
+        steps += datum.n - 1
+        if steps > DESING_BUDGET:
+            raise ValueError(
+                f"desingularizing {datum} takes more than "
+                f"DESING_BUDGET={DESING_BUDGET:,} lowering steps"
+            )
         for i in range(1, datum.n):
             for source, kind in lower_candidate(target, i):
                 raised[source, i] = (target, kind)

@@ -235,7 +235,6 @@ def common_diagram(mp: MarkedPair) -> CommonDiagram:
     h_steps = tuple(
         j for j in range(1, n + 1) if j not in vs1 and j not in vs2
     )
-    hset = set(h_steps)
     boxes = frozenset((v, h) for v in v_steps for h in h_steps if h < v)
     dots = frozenset(mp.dots)
     if not dots <= boxes:

@@ -194,8 +194,7 @@ def test_criterion_07_b_invariance(report):
     t0 = time.perf_counter()
     total = 0
     for n, k, l in nkl_range(6):
-        checked, failure = check_b_invariance(n, k, l, prime=1009,
-                                              trials=1000)
+        checked, failure = check_b_invariance(n, k, l)
         assert failure is None, failure
         total += checked
     elapsed = time.perf_counter() - t0

@@ -10,7 +10,7 @@ from dgorbits import verify
 from dgorbits.canonical import canonical_point
 from dgorbits.cli import main
 from dgorbits.linalg import Field, QQ
-from dgorbits.poset import MINIMAL_BUDGET, build_graph
+from dgorbits.poset import DESING_BUDGET, MINIMAL_BUDGET, build_graph
 from dgorbits.serialize import (
     datum_from_json,
     datum_to_json,
@@ -19,11 +19,7 @@ from dgorbits.serialize import (
     graph_to_json,
     parse_matrix_text,
 )
-from dgorbits.verify import (
-    TRIALS_BUDGET,
-    check_dimension_agreement,
-    run_suites,
-)
+from dgorbits.verify import check_dimension_agreement, run_suites
 from dgorbits.young import MAX_N, OrbitDatum
 
 
@@ -316,7 +312,7 @@ def test_cli_desing_invalid_datum(monkeypatch, capsys):
 
 def test_cli_verify_passes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--n", "3", "--k", "2",
-                           "--l", "1", "--trials", "25", "--prime", "13")
+                           "--l", "1")
     assert code == 0
     suites = [json.loads(line) for line in out.splitlines()]
     assert all(s["passed"] for s in suites)
@@ -331,8 +327,7 @@ def test_cli_verify_prints_each_suite_as_it_finishes(monkeypatch, capsys):
 
     monkeypatch.setattr(verify, "check_roundtrip", broken)
     with pytest.raises(RuntimeError, match="round trip suite broke"):
-        main(["verify", "--n", "3", "--k", "2", "--l", "1",
-              "--trials", "25", "--prime", "13"])
+        main(["verify", "--n", "3", "--k", "2", "--l", "1"])
     out = capsys.readouterr().out
     assert [json.loads(line)["suite"] for line in out.splitlines()] == [
         "dimension_agreement", "minimal_orbits", "desing_replay",
@@ -347,22 +342,19 @@ def test_cli_verify_refuses_absurd_sweep(capsys):
     assert "1,149,800,425 subspace pairs" in err
 
 
-@pytest.mark.parametrize("trials", ["0", "-5"])
-def test_cli_verify_refuses_trials_below_one(capsys, trials):
-    code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "1",
-                             "--l", "1", "--trials", trials)
-    assert (code, out) == (2, "")
-    assert f"need at least 1 B-invariance trial, got {trials}" in err
+@pytest.mark.parametrize("knob", [["--trials", "5"], ["--prime", "13"]],
+                         ids=["trials", "prime"])
+def test_cli_verify_takes_only_the_triple(capsys, knob):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--n", "2", "--k", "1", "--l", "1", *knob])
+    assert (exc.value.code, capsys.readouterr().out) == (2, "")
 
 
-def test_cli_verify_refuses_trials_over_budget(capsys):
-    t0 = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--n", "2", "--k", "1",
-                             "--l", "1", "--trials", "1000000000")
-    assert time.perf_counter() - t0 < 1
-    assert (code, out) == (2, "")
-    assert "1,000,000,000 B-invariance trials" in err
-    assert f"TRIALS_BUDGET={TRIALS_BUDGET:,}" in err
+def test_verify_checks_dimensions_at_n7():
+    # every admitted triple runs the stabilizer-oracle suite first
+    record = next(run_suites(7, 1, 1))
+    assert (record["suite"], record["passed"]) == ("dimension_agreement", True)
+    assert record["checked"] == 70
 
 
 def test_cli_minimal_refuses_over_budget(capsys):
@@ -372,6 +364,19 @@ def test_cli_minimal_refuses_over_budget(capsys):
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
     assert f"over the budget MINIMAL_BUDGET={MINIMAL_BUDGET:,}" in err
+
+
+def test_cli_desing_refuses_over_budget(monkeypatch, capsys):
+    # the open (100,2,2) orbit: its lower interval is a whole stratum
+    open100 = OrbitDatum.make(100, 2, 2, (99, 100), (), [(97, 100), (98, 99)])
+    monkeypatch.setattr(
+        "sys.stdin", io.StringIO(json.dumps(datum_to_json(open100)))
+    )
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "desing")
+    assert time.perf_counter() - t0 < 5
+    assert (code, out) == (2, "")
+    assert f"DESING_BUDGET={DESING_BUDGET:,}" in err
 
 
 @pytest.mark.parametrize("command", ["dim", "desing"])

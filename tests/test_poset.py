@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from dgorbits import poset
+from dgorbits.canonical import canonical_datum, canonical_point
+from dgorbits.linalg import QQ, nullspace
 from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
@@ -20,6 +22,7 @@ from dgorbits.poset import (
     raise_candidate,
     replay_word,
 )
+from dgorbits.subspace import Subspace
 from dgorbits.young import (
     OrbitDatum,
     dimension,
@@ -203,6 +206,61 @@ def test_raises_table_symmetries():
             assert _RAISES.get(image) == kind, ((x, y, bit), image)
 
 
+def _swap(datum):
+    """The orbit of (W, U) for (U, W) in the orbit of ``datum``."""
+    U, W = canonical_point(datum)
+    return canonical_datum(W, U)
+
+
+def _dual(datum):
+    """The orbit of the annihilators of (U, W), coordinates reversed: the
+    map g -> w0 (g^T)^-1 w0 takes B onto B, and P_i onto P_(n-i)."""
+    def perp(S):
+        return Subspace(QQ, S.n, [
+            v[::-1] for v in nullspace(S.columns, QQ, S.n)
+        ])
+
+    U, W = canonical_point(datum)
+    return canonical_datum(perp(U), perp(W))
+
+
+@pytest.mark.parametrize("image, triple, index", [
+    (_swap, lambda n, k, l: (n, l, k), lambda n, i: i),
+    (_dual, lambda n, k, l: (n, n - k, n - l), lambda n, i: n - i),
+], ids=["swap", "duality"])
+def test_symmetries_map_the_weak_order(graph_of, image, triple, index):
+    """A second route to the weak order, by linear algebra the raising
+    table does not use: each symmetry of Gr(k, V) x Gr(l, V) maps the
+    vertices of the graph one to one onto those of its image triple's
+    graph, keeps dimension and rank, and maps each edge labelled i to an
+    edge of the same kind labelled i (swap) or n - i (duality)."""
+    data = edges = 0
+    for n, k, l in nkl_range(5):
+        graph, target = graph_of(n, k, l), graph_of(*triple(n, k, l))
+        ids = {d: v for v, d in enumerate(target.vertices)}
+        images = [image(datum) for datum in graph.vertices]
+        assert sorted(ids[d] for d in images) == list(range(len(ids))), (
+            n, k, l
+        )
+        for datum, moved in zip(graph.vertices, images):
+            assert (dimension(moved), rank(moved)) == (
+                dimension(datum), rank(datum)
+            ), (datum, moved)
+        target_edges = {
+            (e.source, e.target, e.simple_index, e.kind)
+            for e in target.edges
+        }
+        for e in graph.edges:
+            assert (
+                ids[images[e.source]], ids[images[e.target]],
+                index(n, e.simple_index), e.kind,
+            ) in target_edges, (graph.vertices[e.source], e)
+        assert len(graph.edges) == len(target_edges), (n, k, l)
+        data += len(images)
+        edges += len(graph.edges)
+    assert (data, edges) == (1948, 3323)
+
+
 def test_fixed_transpositions(orbits_of):
     # the shortcut in lower_candidate that skips tau_i (positions i and
     # i+1 of one type, in no pair) names exactly the data tau_i fixes
@@ -344,6 +402,17 @@ def test_desing_seven_datum():
     assert replay_word(dd.minimal, dd.word) == raised
     assert len(dd.word) == dimension(raised) - dimension(dd.minimal)
     assert is_minimal(dd.minimal)
+
+
+def test_desing_open_8_2_2():
+    # the largest lower interval of the benchmark, well inside the budget
+    dd = desingularization(
+        OrbitDatum.make(8, 2, 2, (7, 8), (), [(5, 8), (6, 7)])
+    )
+    assert dd.minimal == OrbitDatum.make(8, 2, 2, (1, 3), (2, 4), [])
+    assert dd.word == (
+        1, 2, 3, 2, 4, 3, 2, 1, 5, 4, 3, 2, 6, 5, 4, 3, 7, 6, 5, 4
+    )
 
 
 def test_desing_matches_table(graph_of):

@@ -8,12 +8,15 @@ code (``__all__``, the CLI entry) or the benchmark, through code that is
 itself reachable, so no library code lives only for the tests.  Every
 parameter default is overridden by some call in the package or the
 benchmark, so no default is a knob with one value.  Every name the
-benchmark's tracer wraps exists where it looks for it.
+benchmark's tracer wraps exists where it looks for it.  Every assigned
+local and every module-level import is read.  Every package name the
+README spells out exists.
 """
 
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -204,9 +207,8 @@ def test_no_one_value_defaults():
     assert one_value == [], f"defaults no call overrides: {one_value}"
 
 
-def test_bench_wrap_sites_resolve():
-    # the tracer wraps owner.__dict__[attr]; a renamed or dropped import
-    # (``poset.validate``, say) would otherwise fail only in a traced run
+def _wrap_sites():
+    """(owner, attribute) for every site the benchmark's tracer wraps."""
     spec = importlib.util.spec_from_file_location(
         "dgbench_tracing", ROOT / "dgbench" / "tracing.py"
     )
@@ -217,9 +219,88 @@ def test_bench_wrap_sites_resolve():
         for m in ("young", "linalg", "subspace", "poset", "canonical",
                   "serialize")
     })
+    return [(owner, attr) for owner, attr, _, _ in tracing.layer_targets(prog)]
+
+
+def test_bench_wrap_sites_resolve():
+    # the tracer wraps owner.__dict__[attr]; a renamed or dropped import
+    # (``poset.validate``, say) would otherwise fail only in a traced run
     missing = [
         f"{owner.__name__}.{attr}"
-        for owner, attr, _, _ in tracing.layer_targets(prog)
+        for owner, attr in _wrap_sites()
         if attr not in owner.__dict__
     ]
     assert missing == [], f"wrap sites not found: {missing}"
+
+
+def _scope_stores(func):
+    """Names that ``func``'s own body assigns: nested functions, lambdas
+    and classes are scopes of their own and are not entered."""
+    out, todo = [], list(ast.iter_child_nodes(func))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            out.append(node)
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.Lambda, ast.ClassDef)):
+            todo += ast.iter_child_nodes(node)
+    return out
+
+
+def test_no_unused_names():
+    """Every local a function assigns is read in that function or a scope
+    nested in it, and every module-level import is read in its module.
+    ``__all__`` reads the package's re-exports; an import the benchmark's
+    tracer wraps is exempt, since the tracer reads it there."""
+    wrapped = {(owner.__name__, attr) for owner, attr in _wrap_sites()}
+    unused = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        module = f"dgorbits.{path.stem}".removesuffix(".__init__")
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            loads = {
+                node.id for node in ast.walk(func)
+                if isinstance(node, ast.Name)
+                and not isinstance(node.ctx, ast.Store)
+            }
+            unused += [
+                f"{path.name}:{node.lineno} {node.id}"
+                for node in _scope_stores(func)
+                if node.id not in loads and node.id != "_"
+            ]
+        loads = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        for node in tree.body:
+            if (
+                isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets]
+                == ["__all__"]
+            ):
+                loads |= {elt.value for elt in node.value.elts}
+        for node in tree.body:
+            if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in loads and (module, name) not in wrapped:
+                    unused.append(f"{path.name}:{node.lineno} import {name}")
+    assert unused == [], f"assigned or imported but never read: {unused}"
+
+
+def test_readme_names_resolve():
+    names = re.findall(
+        r"dgorbits\.(\w+)\.(\w+)",
+        (ROOT / "README.md").read_text(encoding="utf-8"),
+    )
+    assert names, "the README names no dgorbits.<module>.<NAME>"
+    missing = [
+        f"dgorbits.{module}.{name}" for module, name in names
+        if not hasattr(importlib.import_module(f"dgorbits.{module}"), name)
+    ]
+    assert missing == [], f"README names that do not resolve: {missing}"
