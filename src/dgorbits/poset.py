@@ -8,6 +8,12 @@ box (rank goes up by one) or just swaps the roles of positions i and
 i+1 everywhere (rank unchanged).  Which one, if any, depends only on
 the types of positions i and i+1 (the minimal-parabolic case analysis
 of Richardson-Springer), so raising is a lookup in :data:`_RAISES`.
+:func:`raise_candidate` is the public definition of one raising, on
+orbit data.  :func:`build_graph` raises on integer keys instead: each
+vertex is encoded once as a word of one digit per flag position, and a
+step table derived from :data:`_RAISES` turns the two digits at i and
+i+1 into the kind of the raising and the amount to add to the key; the
+tests check this table against :func:`raise_candidate`.
 A desingularization word needs only the data below its target, which a
 downward search with the inverse raising, :func:`lower_candidate`, finds
 without building the whole graph.  One builder, :func:`_checked_graph`,
@@ -151,7 +157,10 @@ def raise_candidate(datum: OrbitDatum, i: int):
     new (i, i+1) pair appears, PLAIN when the data is just transposed.
     The answer is the :data:`_RAISES` entry for the types of positions i
     and i+1; that the raised datum is a vertex, of dimension one higher,
-    is the invariant :func:`_checked_graph` checks.
+    is the invariant :func:`_checked_graph` checks.  This is the public
+    definition of a raising: :func:`replay_word` and
+    :func:`lower_candidate` call it, and the key steps of
+    :func:`build_graph` are tested against it.
     """
     _check_index(datum, i)
     ti, pi = _position_type(datum, i)
@@ -261,42 +270,38 @@ class WeakOrderGraph:
         }
 
 
-def _checked_graph(n, k, l, vertices, raise_by) -> WeakOrderGraph:
-    """The graph on ``vertices`` with an edge for each ``raise_by(datum, i)``
-    that is not None, over every vertex and simple index i.
+def _checked_graph(n, k, l, vertices, index, raisings) -> WeakOrderGraph:
+    """The graph on ``vertices`` with an edge for each (source id, i,
+    target, kind) in ``raisings``, in that order; ``index`` maps each
+    target to its vertex id.
 
     Every edge is checked to end at a vertex of the same stratum, one
     dimension higher, so the graph is acyclic; each stratum is checked to
     have one sink.  A failed check is a ``RuntimeError`` naming the edge
     or the stratum.
     """
-    index = {d: v for v, d in enumerate(vertices)}
     dims = _dimensions(vertices)
     strata_of = tuple(stratum(d) for d in vertices)
-    edges = []
     by_stratum = {}
-    for vid, datum in enumerate(vertices):
-        by_stratum.setdefault(strata_of[vid], []).append(vid)
-        for i in range(1, n):
-            res = raise_by(datum, i)
-            if res is None:
-                continue
-            cand, kind = res
-            target = index.get(cand)
-            if target is None:
-                raise RuntimeError(
-                    f"raising {datum} by s_{i} ({kind}) gives {cand}, "
-                    "which is not a vertex"
-                )
-            edge = RaisingEdge(vid, target, i, kind)
-            if strata_of[target] != strata_of[vid]:
-                raise RuntimeError(f"raising {edge} crossed a GL-stratum")
-            if dims[target] != dims[vid] + 1:
-                raise RuntimeError(
-                    f"raising {edge} goes from dimension {dims[vid]} "
-                    f"to {dims[target]}"
-                )
-            edges.append(edge)
+    for vid, d in enumerate(strata_of):
+        by_stratum.setdefault(d, []).append(vid)
+    edges = []
+    for vid, i, cand, kind in raisings:
+        target = index.get(cand)
+        if target is None:
+            raise RuntimeError(
+                f"raising {vertices[vid]} by s_{i} ({kind}) does not give "
+                "a vertex"
+            )
+        edge = RaisingEdge(vid, target, i, kind)
+        if strata_of[target] != strata_of[vid]:
+            raise RuntimeError(f"raising {edge} crossed a GL-stratum")
+        if dims[target] != dims[vid] + 1:
+            raise RuntimeError(
+                f"raising {edge} goes from dimension {dims[vid]} "
+                f"to {dims[target]}"
+            )
+        edges.append(edge)
     graph = WeakOrderGraph(n, k, l, vertices, dims, tuple(edges), by_stratum)
     for d, sink_ids in graph.sinks().items():
         if len(sink_ids) != 1:
@@ -304,11 +309,99 @@ def _checked_graph(n, k, l, vertices, raise_by) -> WeakOrderGraph:
     return graph
 
 
+# The digit word of a datum has one digit per flag position x, in base
+# B = 2n + 5: 0 for "-", 1 for "a", 2 for "b", 3 for "ab", 4 + g for a
+# delta whose gamma is g, and 5 + n + d for a gamma whose delta is d.  Its
+# key is the sum of digit(x) * B**(x - 1), so two data have one key
+# exactly when they are equal.
+
+
+def _digit_word(datum: OrbitDatum) -> list:
+    """The digit of each flag position 1..n of ``datum``."""
+    n = datum.n
+    word = [0] * n
+    for x in datum.alpha:
+        word[x - 1] = 1
+    for x in datum.beta:
+        word[x - 1] += 2
+    for d, g in datum.pairs:
+        word[d - 1] = 4 + g
+        word[g - 1] = 5 + n + d
+    return word
+
+
+def _digit_type(digit, n):
+    """(type, partner or None) of a position with this digit."""
+    if digit < 4:
+        return ("-", "a", "b", "ab")[digit], None
+    if digit < 5 + n:
+        return "d", digit - 4
+    return "g", digit - 5 - n
+
+
+def _key_step(n, i, p, q):
+    """(kind, key delta) of raising by s_i a datum whose digits at i and
+    i+1 are p and q; kind is None when :data:`_RAISES` does not raise.
+
+    RANK_RAISING rewrites the two digits to the pair (i, i+1).  PLAIN is
+    tau_i: the two digits swap places, and each partner index i or i+1,
+    in them or in their partners' digits, moves by tau_i.  A step that
+    breaks a datum's rules, as :func:`raise_candidate` does under a wrong
+    table row, gives the key of no vertex, or the source's own key when
+    (i, i+1) is already a pair; either fails a check of
+    :func:`_checked_graph`.
+    """
+    (ti, pi), (tj, pj) = _digit_type(p, n), _digit_type(q, n)
+    kind = _RAISES.get(
+        (ti, tj, None if pi is None or pj is None else pi < pj)
+    )
+    if kind is None:
+        return None, 0
+    if kind == RANK_RAISING:
+        change = {i: 5 + i - p, i + 1: 5 + n + i - q}
+    else:
+        tau = {i: i + 1, i + 1: i}
+        change = {i: q - p, i + 1: p - q}
+        for x, partner in ((i, pi), (i + 1, pj)):
+            if partner is not None:
+                # the digit that names x as its partner, now at tau(partner)
+                place = tau.get(partner, partner)
+                change[place] = change.get(place, 0) + tau[x] - x
+    base = 2 * n + 5
+    return kind, sum(c * base ** (x - 1) for x, c in change.items())
+
+
 def build_graph(n, k, l) -> WeakOrderGraph:
     """All raisings between the orbit data for (n, k, l), checked by
-    :func:`_checked_graph`."""
+    :func:`_checked_graph`.
+
+    Each vertex is encoded once by its digit word's key, and a raising
+    adds the key delta :func:`_key_step` derives from :data:`_RAISES`
+    for the digits at i and i+1; the step table is filled per call, on a
+    miss, so it always reads the table as it stands.
+    """
     vertices = tuple(enumerate_orbits(n, k, l))
-    return _checked_graph(n, k, l, vertices, raise_candidate)
+    base = 2 * n + 5
+    words = [_digit_word(d) for d in vertices]
+    keys = []
+    for word in words:
+        key = 0
+        for digit in reversed(word):
+            key = key * base + digit
+        keys.append(key)
+    steps = {}
+
+    def raisings():
+        for vid, (word, key) in enumerate(zip(words, keys)):
+            for code in zip(range(1, n), word, word[1:]):
+                kind, delta = steps.get(code) or steps.setdefault(
+                    code, _key_step(n, *code)
+                )
+                if kind is not None:
+                    yield vid, code[0], key + delta, kind
+
+    index = {key: vid for vid, key in enumerate(keys)}
+    return _checked_graph(n, k, l, vertices, index, raisings())
 
 
 # ---------------------------------------------------------------------------
@@ -429,9 +522,15 @@ def _lower_interval(datum: OrbitDatum) -> WeakOrderGraph:
                 if source not in seen:
                     seen.add(source)
                     todo.append(source)
+    vertices = tuple(sorted(seen, key=VERTEX_ORDER))
+    index = {d: v for v, d in enumerate(vertices)}
+    # sorted by (source id, i), the order build_graph finds edges in
+    raisings = sorted(
+        (index[source], i, target, kind)
+        for (source, i), (target, kind) in raised.items()
+    )
     return _checked_graph(
-        datum.n, datum.k, datum.l, tuple(sorted(seen, key=VERTEX_ORDER)),
-        lambda source, i: raised.get((source, i)),
+        datum.n, datum.k, datum.l, vertices, index, raisings
     )
 
 

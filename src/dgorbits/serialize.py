@@ -26,6 +26,8 @@ from .linalg import Field, QQ
 from .poset import DesingularizationData, WeakOrderGraph
 from .subspace import Subspace
 from .young import (
+    CANONICAL_MAX_N_GF,
+    CANONICAL_MAX_N_Q,
     OrbitDatum,
     check_bounds,
     dimension,
@@ -109,7 +111,17 @@ def datum_from_json(obj: dict) -> OrbitDatum:
 # graphs
 
 
+def _vertex_strata(graph: WeakOrderGraph) -> list:
+    """The stratum of each vertex, read from ``graph.strata``."""
+    out = [None] * len(graph.vertices)
+    for d, vids in graph.strata.items():
+        for vid in vids:
+            out[vid] = d
+    return out
+
+
 def graph_to_json(graph: WeakOrderGraph) -> dict:
+    strata_of = _vertex_strata(graph)
     return {
         "n": graph.n,
         "k": graph.k,
@@ -120,7 +132,7 @@ def graph_to_json(graph: WeakOrderGraph) -> dict:
                 "datum": datum_to_json(datum),
                 "dim": graph.dims[vid],
                 "rank": rank(datum),
-                "stratum": stratum(datum),
+                "stratum": strata_of[vid],
             }
             for vid, datum in enumerate(graph.vertices)
         ],
@@ -151,10 +163,11 @@ def _dot_label(datum: OrbitDatum) -> str:
 def graph_to_dot(graph: WeakOrderGraph) -> str:
     lines = [f'digraph weak_order_{graph.n}_{graph.k}_{graph.l} {{']
     lines.append("  rankdir=BT;")
+    strata_of = _vertex_strata(graph)
     for vid, datum in enumerate(graph.vertices):
         lines.append(
             f'  v{vid} [label="{_dot_label(datum)}" dim={graph.dims[vid]} '
-            f"rank={rank(datum)} stratum={stratum(datum)}];"
+            f"rank={rank(datum)} stratum={strata_of[vid]}];"
         )
     for e in graph.edges:
         lines.append(
@@ -195,7 +208,12 @@ def _parse_scalar(token: str, field: Field):
 
 
 def parse_matrix_text(text: str):
-    """Parse the matrix text format into a Subspace pair (U, W)."""
+    """Parse the matrix text format into a Subspace pair (U, W).
+
+    n is refused above :data:`~dgorbits.young.CANONICAL_MAX_N_Q` over Q
+    and :data:`~dgorbits.young.CANONICAL_MAX_N_GF` over GF(p), before any
+    entry is read.
+    """
     lines = text.splitlines()
     header = [ln for ln in lines[:2]]
     if len(header) < 2:
@@ -225,6 +243,15 @@ def parse_matrix_text(text: str):
     except ValueError as exc:
         raise ValueError(f"bad size line {header[1]!r}: {exc}") from exc
     check_bounds(n, k, l)
+    name, limit = (
+        ("CANONICAL_MAX_N_Q", CANONICAL_MAX_N_Q) if field.p is None
+        else ("CANONICAL_MAX_N_GF", CANONICAL_MAX_N_GF)
+    )
+    if n > limit:
+        raise ValueError(
+            f"n={n} is over the limit {name}={limit} for a matrix pair "
+            f"over {field_parts[1]}"
+        )
     blocks = []
     current = []
     for ln in lines[2:]:

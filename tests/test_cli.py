@@ -2,11 +2,12 @@
 
 import io
 import json
+import random
 import time
 
 import pytest
 
-from dgorbits import verify
+from dgorbits import verify, young
 from dgorbits.canonical import canonical_point
 from dgorbits.cli import main
 from dgorbits.linalg import Field, QQ
@@ -165,6 +166,35 @@ def test_cli_refuses_n_over_limit(monkeypatch, capsys, command, n):
     assert time.perf_counter() - t0 < 1
     assert (code, out) == (2, "")
     assert f"n={n} is over the limit MAX_N={MAX_N}" in err
+
+
+@pytest.mark.parametrize("field, name", [
+    ("Q", "CANONICAL_MAX_N_Q"),
+    ("1009", "CANONICAL_MAX_N_GF"),
+])
+def test_cli_canonical_refuses_n_over_field_limit(tmp_path, capsys, field,
+                                                  name):
+    # a whole dense pair one size over the field's bound, refused before
+    # any entry is read
+    limit = getattr(young, name)
+    n = limit + 1
+    k = l = n // 2
+    rng = random.Random(n)
+    blocks = [
+        "\n".join(
+            " ".join(str(rng.randint(-9, 9)) for _ in range(n))
+            for _ in range(dim)
+        )
+        for dim in (k, l)
+    ]
+    path = tmp_path / "pair.txt"
+    path.write_text(f"field {field}\n{n} {k} {l}\n" + "\n\n".join(blocks)
+                    + "\n")
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "canonical", str(path))
+    assert time.perf_counter() - t0 < 1
+    assert (code, out) == (2, "")
+    assert f"n={n} is over the limit {name}={limit}" in err
 
 
 def test_cli_usage_error_exit_code(capsys):

@@ -10,6 +10,8 @@ from dgorbits.poset import (
     PLAIN,
     RANK_RAISING,
     _RAISES,
+    _digit_word,
+    _key_step,
     _position_type,
     _transpose,
     build_graph,
@@ -172,6 +174,54 @@ def reference_mismatches(max_n, orbits=enumerate_orbits):
 
 def test_raise_matches_reference(orbits_of):
     assert reference_mismatches(6, orbits_of) == []
+
+
+def digit_key(datum):
+    """The key of ``datum``'s digit word: digit(x) * (2n + 5)**(x - 1)."""
+    base = 2 * datum.n + 5
+    return sum(
+        digit * base**x for x, digit in enumerate(_digit_word(datum))
+    )
+
+
+def test_key_step_matches_raise_candidate(orbits_of):
+    """The key arithmetic of ``build_graph`` against the public raising:
+    the step of the digits at i and i+1 gives the same kind as
+    ``raise_candidate``, and moves the key to the raised datum's key."""
+    steps = 0
+    for n, k, l in nkl_range(6):
+        for datum in orbits_of(n, k, l):
+            word = _digit_word(datum)
+            for i in range(1, n):
+                kind, delta = _key_step(n, i, word[i - 1], word[i])
+                res = raise_candidate(datum, i)
+                if res is None:
+                    assert kind is None, (datum, i)
+                    continue
+                assert (kind, digit_key(datum) + delta) == (
+                    res[1], digit_key(res[0])
+                ), (datum, i)
+                steps += 1
+    assert steps > 0
+
+
+def test_build_graph_edges_are_raise_candidate(graph_of):
+    """``build_graph``'s edges, in order, are the raisings that
+    ``raise_candidate`` gives on every (vertex, i)."""
+    for n, k, l in nkl_range(6):
+        graph = graph_of(n, k, l)
+        reference = []
+        for vid, datum in enumerate(graph.vertices):
+            for i in range(1, n):
+                res = raise_candidate(datum, i)
+                if res is not None:
+                    reference.append(
+                        (vid, graph.index_of(res[0]), i, res[1])
+                    )
+        assert [
+            (e.source, e.target, e.simple_index, e.kind)
+            for e in graph.edges
+        ] == reference, (n, k, l)
 
 
 @pytest.mark.parametrize("key, kind", [
